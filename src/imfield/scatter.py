@@ -12,7 +12,10 @@ product integration of the logarithmic part of G: the cell weight is the
 exact integral of -(1/2 pi) ln|x - z| over the cell (closed form) plus the
 midpoint value of the smooth remainder. That keeps the weight matrix
 symmetric and the scheme second order, where plain midpoint stalls at
-O(n^-1 log n) on the diagonal.
+O(n^-1 log n) on the diagonal. The weight between two cells depends only
+on their index offset, so the n^2 x n^2 matrix is gathered from an n x n
+stencil: n^2 kernel evaluations, which leaves the O(n^6) dense inverse of
+the interior system as the dominant cost.
 
 Far-field links implemented here: for |x| large,
 
@@ -214,24 +217,36 @@ def _weight_rows(points, centers, hx, hy, kappa):
 
 
 def green_operator_matrix(grid: PotentialGrid) -> GreenOperatorMatrix:
-    """Assemble the dense corrected-weight operator for the grid."""
+    """Assemble the dense corrected-weight operator for the grid.
+
+    The weight between two cells depends only on their index offset and is
+    even in each component, so it is read from an n x n stencil over the
+    non-negative offsets: n^2 kernel evaluations instead of n^4, and an
+    exactly symmetric matrix. The O(n^6) dense inverse of the interior
+    system is then the dominant cost of a solve.
+    """
+    n = grid.n
     hx, hy = grid.cell_size
-    w = _weight_rows(grid.centers(), grid.centers(), hx, hy, grid.kappa)
-    return GreenOperatorMatrix(kappa=grid.kappa, weights=w, v_flat=grid.v_flat)
+    steps = np.arange(n)
+    di, dj = np.meshgrid(steps * hx, steps * hy, indexing="ij")
+    offsets = np.stack([di.reshape(-1), dj.reshape(-1)], axis=1)
+    stencil = _weight_rows(np.zeros((1, 2)), offsets, hx, hy,
+                           grid.kappa).reshape(n, n)
+    delta = np.abs(np.subtract.outer(steps, steps))
+    w = stencil[delta[:, None, :, None], delta[None, :, None, :]]
+    return GreenOperatorMatrix(kappa=grid.kappa, weights=w.reshape(n * n, -1),
+                               v_flat=grid.v_flat)
 
 
 class _SolverCore:
     """Factored interior system for one grid, shared across source points."""
 
-    __slots__ = ("weights", "inv", "cond", "centers")
+    __slots__ = ("inv", "cond", "centers")
 
     def __init__(self, grid: PotentialGrid):
-        gom = green_operator_matrix(grid)
-        self.weights = gom.weights
         self.centers = grid.centers()
-        n2 = self.weights.shape[0]
-        a = -gom.matrix
-        a.flat[::n2 + 1] += 1.0
+        a = -green_operator_matrix(grid).matrix
+        a.flat[::a.shape[0] + 1] += 1.0
         try:
             inv = np.linalg.inv(a)
         except np.linalg.LinAlgError as exc:
@@ -554,63 +569,58 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     rad_plus = np.hypot(pts_plus[:, 0], pts_plus[:, 1])
     rad_minus = np.hypot(pts_minus[:, 0], pts_minus[:, 1])
 
-    hx, hy = grid.cell_size
-    if grid.is_free:
-        coeffs = [None] * n_points
-    else:
+    # D = R + G on the line points, column j for source j: recovered from
+    # the line data, and read directly off the interior solution
+    d_recovered = np.zeros((n_points, n_points), dtype=complex)
+    d_direct = np.zeros((n_points, n_points), dtype=complex)
+    if not grid.is_free:  # else D vanishes identically
         core = _core(grid)
-        rows_plus = _weight_rows(pts_plus, core.centers, hx, hy, kappa)
-        rows_minus = _weight_rows(pts_minus, core.centers, hx, hy, kappa)
-        rows_lam = _weight_rows(lam_pts, core.centers, hx, hy, kappa)
-        coeffs = []
+        hx, hy = grid.cell_size
+        gap = np.hypot(core.centers[:, None, 0] - lam_pts[None, :, 0],
+                       core.centers[:, None, 1] - lam_pts[None, :, 1])
+        rhs = -0.25j * hankel1(0, kappa * gap)
+        coeffs = grid.v_flat[:, None] * (core.inv @ rhs)
+
+        def d_on(points):
+            return _weight_rows(points, core.centers, hx, hy, kappa) @ coeffs
+
+        d_direct = d_on(lam_pts)
+        d_plus = d_on(pts_plus)
+        d_minus = d_on(pts_minus)
+        karps = []
         for j in range(n_points):
-            gap = np.hypot(core.centers[:, 0] - lam_pts[j, 0],
-                           core.centers[:, 1] - lam_pts[j, 1])
-            rhs = -0.25j * hankel1(0, kappa * gap)
-            coeffs.append(grid.v_flat * (core.inv @ rhs))
+            sp = ImSamples(ray=ray_plus, abscissas=sched_abs,
+                           values=np.sqrt(rad_plus) * d_plus[:, j].imag,
+                           kappa=kappa)
+            sm = ImSamples(ray=ray_minus, abscissas=sched_abs,
+                           values=np.sqrt(rad_minus) * d_minus[:, j].imag,
+                           kappa=kappa)
+            karps.append(karp_from_farfield(extract_all(sp, sm, order,
+                                                        schedule)))
+        xi_gaps = [_trusted_radius(kc) for kc in karps]
+        # one dense two-sided lambda/12 lattice covering every source's gap;
+        # each trace keeps only the points inside its own gap
+        step = lam / 12.0
+        m = int(np.ceil((max(xi_gaps) + lam) / step))
+        xs = (np.arange(-m, m) + 0.5) * step
+        gap_pts = origin + np.multiply.outer(xs, theta)
+        im_gap = d_on(gap_pts).imag
+        for j, (kc, xi_gap) in enumerate(zip(karps, xi_gaps)):
+            trace = karp_line_trace(
+                kc, spec, S=xi_gap + 12.0 * lam + abs(s_q),
+                im_points=gap_pts, im_values=im_gap[:, j],
+                gap_center=tuple(center), gap_modes=gap_modes)
+            d_recovered[:, j] = trace.func(s_pts)
 
     recovered = np.full((n_points, n_points), np.nan + 0j, dtype=complex)
     direct = np.full((n_points, n_points), np.nan + 0j, dtype=complex)
-    gap_cache = {"extent": 0.0, "pts": None, "rows": None}
-
-    def gap_data(extent):
-        # dense two-sided coverage of |xi| <= extent, reused across sources
-        if extent > gap_cache["extent"]:
-            m = int(np.ceil(extent / (lam / 12.0)))
-            xs = (np.arange(m) + 0.5) * (lam / 12.0)
-            xs = np.concatenate([-xs[::-1], xs])
-            gap_cache["pts"] = origin + np.multiply.outer(xs, theta)
-            gap_cache["rows"] = _weight_rows(gap_cache["pts"], core.centers,
-                                             hx, hy, kappa)
-            gap_cache["extent"] = extent
-        return gap_cache["pts"], gap_cache["rows"]
-
     for j in range(n_points):
-        coeff = coeffs[j]
-        if coeff is None:
-            d_trace = None  # D vanishes identically for a free grid
-        else:
-            d_plus = rows_plus @ coeff
-            d_minus = rows_minus @ coeff
-            sp = ImSamples(ray=ray_plus, abscissas=sched_abs,
-                           values=np.sqrt(rad_plus) * d_plus.imag, kappa=kappa)
-            sm = ImSamples(ray=ray_minus, abscissas=sched_abs,
-                           values=np.sqrt(rad_minus) * d_minus.imag, kappa=kappa)
-            kc = karp_from_farfield(extract_all(sp, sm, order, schedule))
-            xi_gap = _trusted_radius(kc)
-            gap_pts, gap_rows = gap_data(xi_gap + lam)
-            trace = karp_line_trace(
-                kc, spec, S=xi_gap + 12.0 * lam + abs(s_q),
-                im_points=gap_pts, im_values=(gap_rows @ coeff).imag,
-                gap_center=tuple(center), gap_modes=gap_modes)
-            d_trace = trace.func(s_pts)
         for i in range(n_points):
             if i == j:
                 continue
             g = _free_kernel(kappa, lam_pts[i] - lam_pts[j])
-            recovered[i, j] = (0.0 if d_trace is None else d_trace[i]) - g
-            direct[i, j] = (-g if coeff is None
-                            else rows_lam[i] @ coeff - g)
+            recovered[i, j] = d_recovered[i, j] - g
+            direct[i, j] = d_direct[i, j] - g
 
     scale = _offdiag_scale(direct)
     mask = ~np.eye(n_points, dtype=bool)

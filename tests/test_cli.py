@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import imfield
 from imfield import PotentialGrid, farfield_oracle, field_from_dict, potential_to_dict
 from imfield.cli import Scenario, ScenarioError, load_scenario, run_scenario
 
@@ -369,11 +372,16 @@ def test_console_entry_and_order_override(tmp_path):
     path = write_scenario(tmp_path, {
         "kappa": 2.0, "field": MIX_FIELD, "line": LINE}, name="cli")
     out = tmp_path / "out"
+    # the child interpreter imports the same package as this process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(imfield.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "imfield.cli", "extract",
          "--scenario", str(path), "--out", str(out), "--order", "2",
          "--quiet"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     coeffs = json.loads((out / "coefficients.json").read_text())
@@ -382,6 +390,6 @@ def test_console_entry_and_order_override(tmp_path):
     proc2 = subprocess.run(
         [sys.executable, "-m", "imfield.cli", "extract",
          "--scenario", str(path), "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc2.returncode == 2
     assert "order" in proc2.stderr

@@ -20,6 +20,7 @@ from imfield import (
     scattering_amplitude,
     solve_lippmann_schwinger,
 )
+from imfield import scatter
 from imfield.scatter import _log_rect_integral, _weight_rows
 from imfield.specfun import _reduce_phase
 
@@ -108,6 +109,20 @@ def test_green_operator_symmetric():
     assert np.max(np.abs(w - w.T)) <= 1e-14 * scale
     # operator matrix is the weight matrix with columns scaled by v
     assert np.allclose(gom.matrix, w * grid.v_flat[None, :], rtol=0, atol=0)
+
+
+def test_green_operator_stencil_matches_direct_rows():
+    # rectangular cells, an off-centre box and odd n: every offset class
+    n = 9
+    rng = np.random.default_rng(5)
+    grid = PotentialGrid(bbox=(0.3, -0.9, 1.2, -0.2), n=n,
+                         v=rng.standard_normal((n, n)), kappa=KAPPA)
+    hx, hy = grid.cell_size
+    assert hx != hy
+    w = green_operator_matrix(grid).weights
+    direct = _weight_rows(grid.centers(), grid.centers(), hx, hy, KAPPA)
+    assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
+    assert np.array_equal(w, w.T)
 
 
 def test_free_resolvent_identity():
@@ -355,6 +370,27 @@ def test_gkl_complex_v_tilted_line():
         warnings.simplefilter("error")
         report = gkl_reduce(grid, line, (-3.0, 3.0), order=3)
     assert report.max_rel_err <= 1e-2
+
+
+def test_gkl_gap_rows_built_once(monkeypatch):
+    # later sources on this line need a wider Karp gap than earlier ones;
+    # the weight rows are still built once per point set: the two rays,
+    # the line points and one gap lattice covering every source
+    grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
+    solve_lippmann_schwinger(grid, (0.0, -2.0))  # factor the core up front
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return _weight_rows(*args)
+
+    monkeypatch.setattr(scatter, "_weight_rows", counting)
+    for n_points in (3, 5):
+        calls.clear()
+        report = gkl_reduce(grid, LINE, (-1.0, 4.0), order=3,
+                            n_points=n_points)
+        assert report.max_rel_err <= 1e-2
+        assert len(calls) == 4
 
 
 def test_gkl_validation():
