@@ -8,7 +8,9 @@ directory:
 
     results.csv        tidy columnar numbers (headers listed in README)
     coefficients.json  expansion coefficients (extract and karp only)
-    report.json        {scenario, command, metrics, status, timings}
+    report.json        {scenario, command, metrics, status, timings}; timings
+                       holds total_s and <stage>_s, the summed wall time
+                       of each labelled stage that ran
 
 Exit codes: 0 on success; 2 when the scenario fails validation, with a
 diagnostic naming the offending field; 3 when a pipeline stage fails
@@ -58,6 +60,7 @@ from .propagate import (
     LineTrace,
     _schedule_for_order,
     _stage,
+    _stage_timings,
     _trusted_radius,
     propagate_halfplane,
     reconstruct_from_im,
@@ -610,13 +613,17 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _report_text(name, command, metrics, status, elapsed, error=None) -> str:
+def _report_text(name, command, metrics, status, elapsed, stage_s,
+                 error=None) -> str:
+    timings = {"total_s": round(elapsed, 6)}
+    timings.update({f"{label}_s": round(sec, 6)
+                    for label, sec in stage_s.items()})
     doc = {
         "scenario": name,
         "command": command,
         "metrics": metrics,
         "status": status,
-        "timings": {"total_s": round(elapsed, 6)},
+        "timings": timings,
     }
     if error is not None:
         doc["error"] = error
@@ -658,14 +665,16 @@ def run_scenario(path, command, out_dir=None, order=None, quiet=False) -> int:
         outd = scen_dir
 
     try:
-        res = _COMMANDS[command](sc)
+        with _stage_timings() as stage_s:
+            res = _COMMANDS[command](sc)
     except ScenarioError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         elapsed = time.perf_counter() - t0
-        text = _report_text(sc.name, command, {}, "error", elapsed, str(exc))
+        text = _report_text(sc.name, command, {}, "error", elapsed, stage_s,
+                            str(exc))
         try:
             outd.mkdir(parents=True, exist_ok=True)
             (outd / "report.json").write_text(text)
@@ -683,7 +692,7 @@ def run_scenario(path, command, out_dir=None, order=None, quiet=False) -> int:
                                      sort_keys=True) + "\n"))
     artifacts.append(("report.json",
                       _report_text(sc.name, command, res.metrics, "ok",
-                                   elapsed)))
+                                   elapsed, stage_s)))
     try:
         outd.mkdir(parents=True, exist_ok=True)
         for fname, text in artifacts:

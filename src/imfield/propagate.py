@@ -31,7 +31,10 @@ combined fit recovers the gap trace at the accuracy level of the flanks.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -441,11 +444,36 @@ def _schedule_for_order(kappa: float, order: int) -> ExtractionSchedule:
     return make_schedule(kappa, s0=s0, growth=growth, count=10)
 
 
+# summed wall seconds per stage label inside the innermost _stage_timings
+# block; None outside any block
+_STAGE_TIMES = contextvars.ContextVar("stage_times", default=None)
+
+
+@contextlib.contextmanager
+def _stage_timings():
+    """Yield a dict that collects {label: summed wall seconds} of _stage calls.
+
+    A stage that raises is timed up to the raise, so after a failure the
+    dict holds every stage run so far.
+    """
+    times = {}
+    token = _STAGE_TIMES.set(times)
+    try:
+        yield times
+    finally:
+        _STAGE_TIMES.reset(token)
+
+
 def _stage(label, fn, *args, **kwargs):
+    t0 = time.perf_counter()
     try:
         return fn(*args, **kwargs)
     except (ValueError, RuntimeError) as exc:
         raise type(exc)(f"[{label}] {exc}") from exc
+    finally:
+        times = _STAGE_TIMES.get()
+        if times is not None:
+            times[label] = times.get(label, 0.0) + time.perf_counter() - t0
 
 
 def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,

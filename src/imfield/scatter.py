@@ -25,7 +25,15 @@ Far-field links implemented here: for |x| large,
 
 where psi(., k) = e^{i k .} + psi_sc is the total plane-wave field with
 incident wavevector k, |k| = kappa, and A is the scattering amplitude.
-Both prefactors are inverted at several radii and extrapolated in 1/|x|.
+psi_plus_farfield inverts the first prefactor at several radii and
+extrapolates in 1/|x|. The amplitude is read off exactly instead: far
+from Omega each corrected weight tends to hx hy G(x - z_c), because the
+cell average of the harmonic log differs from its midpoint value only by
+O(h^2/|x - z|^2) (O(h^4/|x - z|^4) on square cells). So for the discrete
+solution u the limit is the finite Fourier sum
+
+    A(k, x_hat) = (1/4) sqrt(2/(pi kappa)) e^{i pi/4} hx hy
+                  sum_c e^{-i kappa x_hat . z_c} v_c u_c.
 
 gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
@@ -283,41 +291,61 @@ def _free_kernel(kappa, x):
     return 0.25j * hankel1(0, kappa * d)
 
 
-class ResolventEvaluator:
-    """Field R(., y) anywhere in the plane, from solved interior values.
+class VolumeField:
+    """Incident term plus the volume term integral_Omega G(x - z) v(z) u(z) dz.
 
-    correction(x) is the integral term alone; it is smooth across x = y and
-    vanishes identically for a zero potential (built without any solve).
+    One evaluator serves the resolvent R(., y), whose incident term is
+    -G(. - y), and the plane-wave total field psi(., k), whose incident term
+    is e^{i k .}. coeff holds v u on the cell centers; it is None for a zero
+    potential (built without any solve), and then the volume term vanishes
+    identically. correction(x) is the volume term alone; it is smooth
+    across x = y.
     """
 
-    __slots__ = ("kappa", "y", "_coeff", "_cells")
+    __slots__ = ("kappa", "incident", "coeff", "centers", "cell_size")
 
-    def __init__(self, kappa, y, coeff, cells):
+    def __init__(self, kappa, incident, coeff=None, centers=None,
+                 cell_size=None):
         self.kappa = float(kappa)
-        self.y = np.array(y, dtype=float)
-        self._coeff = coeff
-        self._cells = cells
+        self.incident = incident
+        self.coeff = coeff
+        self.centers = centers
+        self.cell_size = cell_size
 
     def correction(self, x):
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != 2:
             raise ValueError("x must have shape (..., 2)")
-        if self._coeff is None:
+        if self.coeff is None:
             out = np.zeros(pts.shape[:-1], dtype=complex)
             return complex(out) if pts.ndim == 1 else out
-        flat = pts.reshape(-1, 2)
-        hx, hy, cen = self._cells
-        rows = _weight_rows(flat, cen, hx, hy, self.kappa)
-        vals = rows @ self._coeff
+        hx, hy = self.cell_size
+        rows = _weight_rows(pts.reshape(-1, 2), self.centers, hx, hy,
+                            self.kappa)
+        vals = rows @ self.coeff
         return complex(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
 
     def __call__(self, x):
         pts = np.asarray(x, dtype=float)
-        free = -_free_kernel(self.kappa, pts - self.y)
-        return free + self.correction(pts)
+        return self.incident(pts) + self.correction(pts)
+
+    def far_field(self, xhat):
+        """lim sqrt(r) e^{-i kappa r} correction(r x_hat) for unit rows xhat.
+
+        The exact limit of the discrete volume term: the Fourier sum of coeff
+        over the cell centers (module docstring), one (directions x cells)
+        phase matrix times coeff.
+        """
+        if self.coeff is None:
+            return np.zeros(xhat.shape[0], dtype=complex)
+        hx, hy = self.cell_size
+        scale = 0.25 * np.sqrt(2.0 / (np.pi * self.kappa)) \
+            * np.exp(0.25j * np.pi) * hx * hy
+        phase = np.exp(-1j * self.kappa * (xhat @ self.centers.T))
+        return scale * (phase @ self.coeff)
 
 
-def solve_lippmann_schwinger(grid: PotentialGrid, y) -> ResolventEvaluator:
+def solve_lippmann_schwinger(grid: PotentialGrid, y) -> VolumeField:
     """Evaluator for the outgoing resolvent kernel R(., y) of the grid.
 
     For a zero potential the free kernel -G(x - y) is returned without
@@ -328,20 +356,23 @@ def solve_lippmann_schwinger(grid: PotentialGrid, y) -> ResolventEvaluator:
     interior system is (near-)singular, i.e. the unique-solvability
     condition fails at this kappa.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)
     if y.shape != (2,):
         raise ValueError("y must be a point in the plane")
+    kappa = grid.kappa
+
+    def incident(x):
+        return -_free_kernel(kappa, x - y)
+
     if grid.is_free:
-        return ResolventEvaluator(grid.kappa, y, None, None)
+        return VolumeField(kappa, incident)
     core = _core(grid)
-    hx, hy = grid.cell_size
     gap = np.hypot(core.centers[:, 0] - y[0], core.centers[:, 1] - y[1])
     if np.min(gap) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise ValueError("y coincides with a cell center; offset it")
-    rhs = -0.25j * hankel1(0, grid.kappa * gap)
-    u = core.inv @ rhs
-    coeff = grid.v_flat * u
-    return ResolventEvaluator(grid.kappa, y, coeff, (hx, hy, core.centers))
+    rhs = -0.25j * hankel1(0, kappa * gap)
+    coeff = grid.v_flat * (core.inv @ rhs)
+    return VolumeField(kappa, incident, coeff, core.centers, grid.cell_size)
 
 
 def check_reciprocity(grid: PotentialGrid, x, y) -> float:
@@ -353,50 +384,23 @@ def check_reciprocity(grid: PotentialGrid, x, y) -> float:
     return abs(rxy - ryx) / max(abs(rxy), 1e-300)
 
 
-class PlaneWaveEvaluator:
-    """Total field psi(., k) = e^{i k .} + scattered part for one incident k."""
-
-    __slots__ = ("kappa", "k", "_coeff", "_cells")
-
-    def __init__(self, kappa, k, coeff, cells):
-        self.kappa = float(kappa)
-        self.k = np.array(k, dtype=float)
-        self._coeff = coeff
-        self._cells = cells
-
-    def scattered(self, x):
-        pts = np.asarray(x, dtype=float)
-        if pts.shape[-1] != 2:
-            raise ValueError("x must have shape (..., 2)")
-        if self._coeff is None:
-            out = np.zeros(pts.shape[:-1], dtype=complex)
-            return complex(out) if pts.ndim == 1 else out
-        flat = pts.reshape(-1, 2)
-        hx, hy, cen = self._cells
-        rows = _weight_rows(flat, cen, hx, hy, self.kappa)
-        vals = rows @ self._coeff
-        return complex(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
-
-    def __call__(self, x):
-        pts = np.asarray(x, dtype=float)
-        return np.exp(1j * (pts @ self.k)) + self.scattered(pts)
-
-
-def plane_wave_solution(grid: PotentialGrid, k) -> PlaneWaveEvaluator:
+def plane_wave_solution(grid: PotentialGrid, k) -> VolumeField:
     """Total field for an incident plane wave e^{i k x}, |k| = kappa."""
-    k = np.asarray(k, dtype=float)
+    k = np.array(k, dtype=float)
     if k.shape != (2,):
         raise ValueError("k must be a planar wavevector")
     if abs(float(np.hypot(*k)) - grid.kappa) > 1e-9 * grid.kappa:
         raise ValueError("|k| must equal kappa")
+
+    def incident(x):
+        return np.exp(1j * (x @ k))
+
     if grid.is_free:
-        return PlaneWaveEvaluator(grid.kappa, k, None, None)
+        return VolumeField(grid.kappa, incident)
     core = _core(grid)
-    hx, hy = grid.cell_size
-    rhs = np.exp(1j * (core.centers @ k))
-    u = core.inv @ rhs
-    coeff = grid.v_flat * u
-    return PlaneWaveEvaluator(grid.kappa, k, coeff, (hx, hy, core.centers))
+    coeff = grid.v_flat * (core.inv @ np.exp(1j * (core.centers @ k)))
+    return VolumeField(grid.kappa, incident, coeff, core.centers,
+                       grid.cell_size)
 
 
 def _unit(vec, name):
@@ -437,35 +441,24 @@ def psi_plus_farfield(grid: PotentialGrid, y, direction, radii) -> complex:
     return extract_sequence_extrapolated(list(zip(r, vals / pref)), depth)
 
 
-def scattering_amplitude(grid: PotentialGrid, k, directions, radii=None):
+def scattering_amplitude(grid: PotentialGrid, k, directions):
     """Amplitudes A(k, kappa x_hat) for each observation direction x_hat.
 
     The scattered part of the plane-wave field behaves like
-    e^{i kappa |x|} / sqrt(|x|) A at large |x|; the prefactor is inverted on
-    a geometric radius ladder (default 200 wavelengths doubled three times)
-    and extrapolated in 1/|x|. Returns a complex array, one entry per
-    direction; identically zero for a zero potential.
+    e^{i kappa |x|} / sqrt(|x|) A at large |x|. A is computed as the exact
+    far-field limit of the discrete solution, a Fourier sum over the cells
+    (module docstring), so no far-field point is evaluated. Returns a
+    complex array, one entry per direction; identically zero for a zero
+    potential.
     """
-    lam = 2.0 * np.pi / grid.kappa
-    if radii is None:
-        radii = 200.0 * lam * 2.0 ** np.arange(4)
-    r = np.unique(np.asarray(radii, dtype=float))
-    if r.size < 2:
-        raise ValueError("need at least two distinct radii")
-    if np.min(r) < 100.0 * lam:
-        raise ValueError("radii must all be >= 100 wavelengths")
     field = plane_wave_solution(grid, k)
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    if dirs.shape[-1] != 2:
+    if dirs.ndim != 2 or dirs.shape[1] != 2:
         raise ValueError("directions must have shape (m, 2)")
-    depth = min(3, r.size - 1)
-    damp = np.sqrt(r) * np.exp(-1j * _reduce_phase(grid.kappa * r))
-    out = np.empty(dirs.shape[0], dtype=complex)
-    for i in range(dirs.shape[0]):
-        xhat = _unit(dirs[i], "directions")
-        vals = field.scattered(np.multiply.outer(r, xhat)) * damp
-        out[i] = extract_sequence_extrapolated(list(zip(r, vals)), depth)
-    return out
+    norms = np.hypot(dirs[:, 0], dirs[:, 1])
+    if not np.all(norms > 0.0):
+        raise ValueError("directions must be nonzero")
+    return field.far_field(dirs / norms[:, None])
 
 
 @dataclass(frozen=True)

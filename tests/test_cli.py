@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import imfield
 from imfield import PotentialGrid, farfield_oracle, field_from_dict, potential_to_dict
 from imfield.cli import Scenario, ScenarioError, load_scenario, run_scenario
+from imfield.propagate import _stage, _stage_timings
 
 KAPPA = 5.0
 
@@ -251,6 +253,57 @@ def test_scatter_command(tmp_path):
     header, rows = read_csv(out)
     assert header == ["theta", "dir_x", "dir_y", "re_a", "im_a", "abs_a"]
     assert len(rows) == 72
+
+
+def test_report_stage_timings(tmp_path):
+    pot = write_scenario(tmp_path, {
+        "kappa": 4.0, "potential": gaussian_potential_dict()}, name="st")
+    outs = [tmp_path / "s1", tmp_path / "s2"]
+    for out in outs:
+        assert run_scenario(pot, "scatter", out_dir=out, quiet=True) == 0
+    timings = read_report(outs[0])["timings"]
+    assert set(timings) == {"total_s", "solve_s", "amplitude_s"}
+    assert 0.0 < timings["solve_s"] + timings["amplitude_s"] \
+        <= timings["total_s"]
+    # the wall times stay out of the tidy results
+    assert (outs[0] / "results.csv").read_bytes() == \
+        (outs[1] / "results.csv").read_bytes()
+    pipe = write_scenario(tmp_path, {
+        "field": PS_FIELD, "line": LINE, "order": 3, "targets": TARGETS[:2]},
+        name="pt")
+    out = tmp_path / "p"
+    assert run_scenario(pipe, "pipeline", out_dir=out, quiet=True) == 0
+    timings = read_report(out)["timings"]
+    assert {"extract_s", "karp_s", "trace_s", "propagate_s"} <= set(timings)
+    assert all(t >= 0.0 for t in timings.values())
+
+
+def test_failed_report_keeps_stage_timings(tmp_path):
+    path = write_scenario(tmp_path, {
+        "kappa": 2.0, "field": MIX_FIELD, "line": LINE, "order": 2,
+        "tau": float(np.pi)}, name="res")
+    out = tmp_path / "out"
+    assert run_scenario(path, "extract", out_dir=out, quiet=True) == 3
+    timings = read_report(out)["timings"]
+    # synthesis ran, extraction failed: both are timed, karp never started
+    assert set(timings) == {"total_s", "synth_s", "extract_s"}
+
+
+def test_stage_timings_sum_repeated_labels():
+    with _stage_timings() as times:
+        _stage("nap", time.sleep, 0.01)
+        _stage("nap", time.sleep, 0.01)
+        with pytest.raises(ValueError, match=r"^\[bad\] boom$"):
+            _stage("bad", _raise_value_error, "boom")
+    assert set(times) == {"nap", "bad"}
+    assert times["nap"] >= 0.02
+    # outside the block nothing is collected
+    _stage("nap", time.sleep, 0.0)
+    assert set(times) == {"nap", "bad"}
+
+
+def _raise_value_error(msg):
+    raise ValueError(msg)
 
 
 def test_scatter_probe_validation(tmp_path):

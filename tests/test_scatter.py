@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from imfield import (
     LineSpec,
     PotentialGrid,
     check_reciprocity,
+    extract_sequence_extrapolated,
     gkl_reduce,
     green_operator_matrix,
     hankel1,
@@ -279,15 +282,79 @@ def test_farfield_radii_validation():
         psi_plus_farfield(grid, (0.0, 0.0), (1.0, 0.0), [50.0 * LAM, 200.0 * LAM])
     with pytest.raises(ValueError):
         psi_plus_farfield(grid, (0.0, 0.0), (1.0, 0.0), [400.0 * LAM])
-    with pytest.raises(ValueError):
-        scattering_amplitude(grid, (KAPPA, 0.0), [(1.0, 0.0)],
-                             radii=[50.0 * LAM, 200.0 * LAM])
 
 
 def test_amplitude_free_zero():
     k = KAPPA * np.array([1.0, 0.0])
     a = scattering_amplitude(free_grid(), k, [(1.0, 0.0), (0.0, 1.0)])
     assert np.array_equal(a, np.zeros(2, dtype=complex))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0])
+def test_amplitude_matches_midpoint_ladder(kappa):
+    # reference: rows hx hy G(x - z_c) (no log-integral cancellation) times
+    # the plane-wave coefficients on a 200-1600 wavelength ladder,
+    # extrapolated in 1/r; the amplitude is the limit of that ladder
+    grid = gauss_grid(24, kappa=kappa)
+    k = kappa * np.array([np.cos(0.2), np.sin(0.2)])
+    ths = np.array([0.3, 1.1, 2.5, 4.0, 5.6])
+    dirs = np.stack([np.cos(ths), np.sin(ths)], axis=1)
+    got = scattering_amplitude(grid, k, dirs)
+    psi = plane_wave_solution(grid, k)
+    cells = grid.centers()
+    area = grid.cell_size[0] * grid.cell_size[1]
+    radii = 200.0 * (2.0 * np.pi / kappa) * 2.0 ** np.arange(4)
+    for xhat, a_val in zip(dirs, got):
+        ests = []
+        for r in radii:
+            dist = np.hypot(*(r * xhat - cells).T)
+            row = area * 0.25j * hankel1(0, kappa * dist)
+            ests.append((r, (row @ psi.coeff) * np.sqrt(r)
+                         * np.exp(-1j * _reduce_phase(kappa * r))))
+        want = extract_sequence_extrapolated(ests, 3)
+        assert abs(a_val - want) <= 1e-10 * abs(want)
+
+
+def test_amplitude_evaluates_no_weight_rows(monkeypatch):
+    grid = gauss_grid(12)
+    k = KAPPA * np.array([1.0, 0.0])
+    plane_wave_solution(grid, k)  # builds the cached interior factor
+    calls = []
+    real = scatter._weight_rows
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scatter, "_weight_rows", counting)
+    ths = 2.0 * np.pi * np.arange(72) / 72
+    amps = scattering_amplitude(
+        grid, k, np.stack([np.cos(ths), np.sin(ths)], axis=1))
+    assert amps.shape == (72,) and np.all(np.isfinite(amps))
+    assert calls == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 16),
+       kappa=st.floats(1.0, 6.0),
+       corner=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       sides=st.tuples(st.floats(0.3, 1.2), st.floats(0.3, 1.2)),
+       k_angle=st.floats(0.0, 2.0 * np.pi),
+       x_angle=st.floats(0.0, 2.0 * np.pi))
+def test_amplitude_reciprocity_property(seed, n, kappa, corner, sides,
+                                        k_angle, x_angle):
+    # A(kappa k_hat, x_hat) = A(-kappa x_hat, -k_hat) holds exactly in the
+    # discrete scheme because the weight matrix is symmetric
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, 2.0, (n, n)) \
+        * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+    bbox = (corner[0], corner[1], corner[0] + sides[0], corner[1] + sides[1])
+    grid = PotentialGrid(bbox=bbox, n=n, v=v, kappa=kappa)
+    k_hat = np.array([np.cos(k_angle), np.sin(k_angle)])
+    x_hat = np.array([np.cos(x_angle), np.sin(x_angle)])
+    a = scattering_amplitude(grid, kappa * k_hat, [x_hat])[0]
+    b = scattering_amplitude(grid, -kappa * x_hat, [-k_hat])[0]
+    assert abs(a - b) <= 1e-10 * abs(a)
 
 
 def test_amplitude_rotational_symmetry():
