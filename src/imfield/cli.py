@@ -142,40 +142,24 @@ def _integer(data, key, minimum):
     return v
 
 
-def _load_field(obj, kappa):
+def _load_object(obj, kappa, name, from_dict):
+    """The scenario's `name` object, decoded by from_dict with the scenario
+    kappa filled in when the object leaves it out."""
     if not isinstance(obj, dict):
-        _fail("field", "must be a JSON object")
+        _fail(name, "must be a JSON object")
     d = dict(obj)
     if "kappa" not in d:
         d["kappa"] = kappa
     elif not isinstance(d["kappa"], (int, float)) or \
             abs(float(d["kappa"]) - kappa) > 1e-12 * kappa:
-        _fail("field", f"its kappa {d['kappa']!r} disagrees with the "
-                       f"scenario kappa {kappa!r}")
+        _fail(name, f"its kappa {d['kappa']!r} disagrees with the "
+                    f"scenario kappa {kappa!r}")
     try:
-        return field_from_dict(d)
+        return from_dict(d)
     except KeyError as exc:
-        _fail("field", f"missing key {exc}")
+        _fail(name, f"missing key {exc}")
     except (ValueError, TypeError) as exc:
-        _fail("field", str(exc))
-
-
-def _load_potential(obj, kappa):
-    if not isinstance(obj, dict):
-        _fail("potential", "must be a JSON object")
-    d = dict(obj)
-    if "kappa" not in d:
-        d["kappa"] = kappa
-    elif not isinstance(d["kappa"], (int, float)) or \
-            abs(float(d["kappa"]) - kappa) > 1e-12 * kappa:
-        _fail("potential", f"its kappa {d['kappa']!r} disagrees with the "
-                           f"scenario kappa {kappa!r}")
-    try:
-        return potential_from_dict(d)
-    except KeyError as exc:
-        _fail("potential", f"missing key {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail("potential", str(exc))
+        _fail(name, str(exc))
 
 
 def _load_line(obj):
@@ -245,8 +229,10 @@ def load_scenario(path) -> Scenario:
 
     if "field" in data and "potential" in data:
         raise ScenarioError("provide at most one of 'field' and 'potential'")
-    field = _load_field(data["field"], kappa) if "field" in data else None
-    potential = (_load_potential(data["potential"], kappa)
+    field = (_load_object(data["field"], kappa, "field", field_from_dict)
+             if "field" in data else None)
+    potential = (_load_object(data["potential"], kappa, "potential",
+                              potential_from_dict)
                  if "potential" in data else None)
 
     line = _load_line(data["line"]) if "line" in data else None

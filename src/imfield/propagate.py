@@ -42,7 +42,7 @@ import numpy as np
 from .farfield import ExtractionSchedule, make_schedule, extract_all
 from .fields import ImSamples
 from .karp import KarpCoeffs, eval_karp, karp_from_farfield
-from .specfun import hankel1
+from .specfun import _upward, hankel1
 
 __all__ = [
     "LineSpec",
@@ -225,8 +225,9 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
     bounded using the s^-2 decay of |kernel * trace| (kernel s^-3/2 times the
     constant normal offset, trace s^-1/2); if tol is given and the bound
     exceeds it, a coverage error is raised. full_output adds a dict with the
-    tail bound and a quadrature self-error estimate (coarse-vs-fine
-    difference), an empirical upper bound on further refinement changes.
+    tail bound and a quadrature self-error estimate (difference from a
+    second pass at half the panels, run only then), an empirical upper
+    bound on further refinement changes.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -241,8 +242,6 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
             raise ValueError("sampled trace needs >= 10 samples per wavelength")
     ppw = trace.panels_per_wavelength
     fine, s_nodes, vals = _quadrature(trace, spec, x, kappa, ppw)
-    coarse, _, _ = _quadrature(trace, spec, x, kappa, max(ppw // 2, 1))
-    quad_est = max(abs(fine - coarse), 1e-14 * max(abs(fine), 1e-300))
     # amplitude of the trace near the cut, for the tail bound
     outer = np.abs(s_nodes) >= 0.9 * trace.S
     amp = float(np.max(np.abs(vals[outer]) * np.sqrt(np.abs(s_nodes[outer]))))
@@ -252,24 +251,40 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
             f"trace half-length S={trace.S:.3g} leaves tail bound "
             f"{tail:.3g} above the requested tolerance {tol:.3g}")
     if full_output:
+        coarse, _, _ = _quadrature(trace, spec, x, kappa, max(ppw // 2, 1))
+        quad_est = max(abs(fine - coarse), 1e-14 * max(abs(fine), 1e-300))
         return fine, {"tail_bound": tail, "quad_error_estimate": quad_est}
     return fine
 
 
+# The Karp series is trusted where its last kept term is below this fraction
+# of the leading one.
+_TRUNC_TOL = 1e-3
+# Singular values of the column-normalized gap fit below this fraction of
+# the largest are dropped.
+_SVD_CUTOFF = 1e-6
+
+
 def _gap_design(points, center, kappa, modes):
-    """Outgoing-multipole columns H_|m|(kappa r) e^(i m phi) about center."""
+    """Outgoing-multipole columns H_|m|(kappa r) e^(i m phi) about center.
+
+    H_2..H_modes follow from one H_0, H_1 pair by the upward recurrence,
+    which is stable for H; columns m and -m share H_|m|.
+    """
     pts = np.asarray(points, dtype=float)
     dx = pts[..., 0] - center[0]
     dy = pts[..., 1] - center[1]
-    r = np.hypot(dx, dy)
+    z = kappa * np.hypot(dx, dy)
     ph = np.arctan2(dy, dx)
-    cols = [hankel1(abs(m), kappa * r) * np.exp(1j * m * ph)
+    h0, h1 = hankel1(0, z), hankel1(1, z)
+    h = [h0, h1] + [_upward(h0, h1, m, z) for m in range(2, modes + 1)]
+    cols = [h[abs(m)] * np.exp(1j * m * ph)
             for m in range(-modes, modes + 1)]
     return np.stack(cols, axis=-1)
 
 
 def _gap_completion(karp_vals, line_point, im_points, im_values, center,
-                    kappa, modes, xi_gap, lam, svd_cutoff):
+                    kappa, modes, xi_gap, lam):
     """Multipole completion of the trace inside the Karp gap.
 
     Builds a real-linear least-squares system for (Re c, Im c) of the
@@ -292,18 +307,18 @@ def _gap_completion(karp_vals, line_point, im_points, im_values, center,
     nrm = np.linalg.norm(A, axis=0)
     nrm[nrm == 0] = 1.0
     U, sv, Vh = np.linalg.svd(A / nrm, full_matrices=False)
-    keep = sv > svd_cutoff * sv[0]
+    keep = sv > _SVD_CUTOFF * sv[0]
     u = (Vh[keep].T @ ((U[:, keep].T @ b) / sv[keep])) / nrm
     c = u[:2 * modes + 1] + 1j * u[2 * modes + 1:]
     resid = np.abs(A @ u - b).max() / max(np.abs(b).max(), 1e-300)
     return c, float(resid)
 
 
-def _trusted_radius(kc: KarpCoeffs, trunc_tol: float = 1e-3) -> float:
+def _trusted_radius(kc: KarpCoeffs) -> float:
     """Distance from the Karp origin beyond which the truncation is trusted.
 
-    The last kept term falls below trunc_tol of the leading one at
-    (last / (lead trunc_tol))^(1/order); never less than two wavelengths.
+    The last kept term falls below _TRUNC_TOL of the leading one at
+    (last / (lead _TRUNC_TOL))^(1/order); never less than two wavelengths.
     """
     if kc.order < 1:
         raise ValueError("need Karp order >= 1 to bound the series truncation")
@@ -314,27 +329,25 @@ def _trusted_radius(kc: KarpCoeffs, trunc_tol: float = 1e-3) -> float:
     if lead == 0.0:
         raise RuntimeError("Karp series has no usable leading term")
     lam = 2.0 * np.pi / kc.kappa
-    return max((last / (lead * trunc_tol)) ** (1.0 / kc.order), 2.0 * lam)
+    return max((last / (lead * _TRUNC_TOL)) ** (1.0 / kc.order), 2.0 * lam)
 
 
 def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
-                    panels_per_wavelength: int = 10,
                     im_points=None, im_values=None,
-                    gap_center=None, gap_modes: int = None,
-                    trunc_tol: float = 1e-3,
-                    svd_cutoff: float = 1e-6) -> LineTrace:
+                    gap_center=None) -> LineTrace:
     """LineTrace over [-S, S] built from a Karp expansion on spec.line.
 
     The Karp frame origin q sits on the line; the truncated series is
     trusted at line abscissas s with |s - s_q| >= xi_gap, where xi_gap is
-    the distance at which the last kept term falls below trunc_tol of the
+    the distance at which the last kept term falls below _TRUNC_TOL of the
     leading one. Inside the gap the series cannot be summed at any order,
     so the trace there comes from a fitted multipole expansion about
     gap_center (default: the global origin, which the sources surround in
     every supported scenario), anchored to the trusted flanks and to
     measured imaginary parts: im_points (N x 2 line points) with im_values
     = Im psi there must cover the gap at >= 10 samples per wavelength.
-    gap_modes defaults to kc.order + 2; higher counts overfit the flanks.
+    The fit uses multipole orders |m| <= kc.order + 2; higher counts
+    overfit the flanks.
     A RuntimeError reports an inconsistent completion (fit residual > 5%).
     """
     kappa = kc.kappa
@@ -353,9 +366,9 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     F = np.asarray(kc.F)
     G = np.asarray(kc.G)
     if not (np.any(F) or np.any(G)):
-        return LineTrace(S=S, panels_per_wavelength=panels_per_wavelength,
-                         func=lambda s: np.zeros(np.shape(s), dtype=complex))
-    xi_gap = _trusted_radius(kc, trunc_tol)
+        return LineTrace(
+            S=S, func=lambda s: np.zeros(np.shape(s), dtype=complex))
+    xi_gap = _trusted_radius(kc)
     if xi_gap + 10.0 * lam > S - abs(s_q):
         raise RuntimeError(
             f"Karp series is trusted only beyond {xi_gap:.3g} from its "
@@ -400,11 +413,10 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     if abs(spec.signed_offset(gap_center)) <= 0.1 * lam:
         raise ValueError("gap_center sits on the line, where the multipole "
                          "basis is singular; pass a center off the line")
-    if gap_modes is None:
-        gap_modes = kc.order + 2
+    gap_modes = kc.order + 2
     c, resid = _gap_completion(karp_vals, line_point,
                                pts[inside], vals[inside], gap_center,
-                               kappa, int(gap_modes), xi_gap, lam, svd_cutoff)
+                               kappa, gap_modes, xi_gap, lam)
     if resid > 0.05:
         raise RuntimeError(
             f"gap completion is inconsistent with the Karp flanks "
@@ -419,11 +431,10 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
             out[~gap] = karp_vals(xi[~gap])
         if np.any(gap):
             out[gap] = _gap_design(line_point(xi[gap]), gap_center,
-                                   kappa, int(gap_modes)) @ c
+                                   kappa, gap_modes) @ c
         return out
 
-    return LineTrace(S=S, panels_per_wavelength=panels_per_wavelength,
-                     func=psi)
+    return LineTrace(S=S, func=psi)
 
 
 def _schedule_for_order(kappa: float, order: int) -> ExtractionSchedule:
@@ -478,9 +489,7 @@ def _stage(label, fn, *args, **kwargs):
 
 def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
                         order: int, spec: HalfPlaneSpec, targets,
-                        schedule: ExtractionSchedule = None,
-                        S: float = None, panels_per_wavelength: int = 10,
-                        gap_center=None, gap_modes: int = None):
+                        schedule: ExtractionSchedule = None):
     """Field values at targets in V_L from imaginary-part samples on L.
 
     Pipeline: extract_all -> karp_from_farfield -> karp_line_trace ->
@@ -490,15 +499,14 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     the Karp gap feeds the completion fit there, so the sample set should
     also cover the near segment of the line at >= 10 points per wavelength.
     The sources must lie near the global origin on the non-V_L side of the
-    line (the geometry of every supported scenario); S defaults to 200
-    wavelengths.
+    line (the geometry of every supported scenario). The trace runs over
+    200 wavelengths on either side of the line point.
     """
     kappa = samples_plus.kappa
     lam = 2.0 * np.pi / kappa
     if schedule is None:
         schedule = _schedule_for_order(kappa, order)
-    if S is None:
-        S = 200.0 * lam
+    S = 200.0 * lam
     p0 = np.asarray(spec.line.point)
     t = np.asarray(spec.line.theta)
     pts_list, im_list = [], []
@@ -521,10 +529,8 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
                 order, schedule)
     kc = _stage("karp", karp_from_farfield, ff)
     trace = _stage("trace", karp_line_trace, kc, spec, S,
-                   panels_per_wavelength,
                    im_points=np.vstack(pts_list),
-                   im_values=np.concatenate(im_list),
-                   gap_center=gap_center, gap_modes=gap_modes)
+                   im_values=np.concatenate(im_list))
     out = []
     for x in targets:
         out.append(_stage("propagate", propagate_halfplane,

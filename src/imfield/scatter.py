@@ -508,8 +508,7 @@ def _table_defect(table, scale):
 
 
 def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
-               n_points: int = 5, gap_modes=None,
-               data_tol: float = 1e-6) -> GklReport:
+               n_points: int = 5, data_tol: float = 1e-6) -> GklReport:
     """Recover complex R(x, y) on Lambda x Lambda from Im R sampled on the line.
 
     Lambda is n_points equally spaced points of the interval (given in the
@@ -602,7 +601,7 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
             trace = karp_line_trace(
                 kc, spec, S=xi_gap + 12.0 * lam + abs(s_q),
                 im_points=gap_pts, im_values=im_gap[:, j],
-                gap_center=tuple(center), gap_modes=gap_modes)
+                gap_center=tuple(center))
             d_recovered[:, j] = trace.func(s_pts)
 
     recovered = np.full((n_points, n_points), np.nan + 0j, dtype=complex)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import imfield.propagate as propagate_mod
 from imfield import (
     HalfPlaneSpec,
     ImSamples,
@@ -18,13 +19,14 @@ from imfield import (
     eval_field,
     extract_all,
     green_kernel_normal,
+    hankel1,
     karp_from_farfield,
     karp_line_trace,
     propagate_halfplane,
     reconstruct_from_im,
     schedule_abscissas,
 )
-from imfield.propagate import _schedule_for_order
+from imfield.propagate import _gap_design, _schedule_for_order
 
 KAPPA = 5.0
 LAM = 2.0 * np.pi / KAPPA
@@ -256,6 +258,26 @@ def test_propagate_quad_estimate_bounds_refinement():
     assert held >= 19  # spec asks >= 95%
 
 
+def test_propagate_coarse_pass_only_for_full_output(monkeypatch):
+    # the coarse quadrature feeds only the full_output error estimate
+    calls = []
+    quad = propagate_mod._quadrature
+
+    def counting(*args):
+        calls.append(args[-1])
+        return quad(*args)
+
+    monkeypatch.setattr(propagate_mod, "_quadrature", counting)
+    ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
+    tr = LineTrace(S=50 * LAM, func=_line_trace_fn(ps))
+    x = np.array([0.5, -4.0])
+    v = propagate_halfplane(tr, SPEC, x, KAPPA)
+    assert calls == [10]
+    v_full, info = propagate_halfplane(tr, SPEC, x, KAPPA, full_output=True)
+    assert calls == [10, 10, 5]
+    assert v_full == v and info["quad_error_estimate"] > 0
+
+
 def test_propagate_proximity_and_coverage_errors():
     tr = LineTrace(S=50 * LAM, func=lambda s: np.ones(np.shape(s), dtype=complex))
     with pytest.raises(ValueError):
@@ -290,6 +312,31 @@ def test_karp_line_trace_accuracy():
     got = trace.psi(s)
     ref = _line_trace_fn(ps)(s)
     assert np.max(np.abs(got - ref)) <= 3e-3 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 3.0, 8.0])
+def test_gap_design_columns_match_per_order_hankel(kappa):
+    s = np.linspace(-400.0, 400.0, 2001)
+    pts = np.stack([s, np.full(s.shape, -1.55)], axis=-1)
+    got = _gap_design(pts, (0.0, 0.0), kappa, 5)
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    ph = np.arctan2(pts[:, 1], pts[:, 0])
+    for j, m in enumerate(range(-5, 6)):
+        ref = hankel1(abs(m), kappa * r) * np.exp(1j * m * ph)
+        assert np.max(np.abs(got[:, j] - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_gap_design_evaluates_one_hankel_pair(monkeypatch):
+    calls = []
+
+    def counting(m, x):
+        calls.append(m)
+        return hankel1(m, x)
+
+    monkeypatch.setattr(propagate_mod, "hankel1", counting)
+    pts = np.array([[-3.0, -1.55], [0.5, -1.55], [40.0, -1.55]])
+    _gap_design(pts, (0.0, 0.0), 2.0, 5)
+    assert calls == [0, 1]
 
 
 def test_karp_line_trace_zero_field():

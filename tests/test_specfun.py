@@ -10,6 +10,9 @@ Reference values were computed from independent oracles and frozen here:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from imfield import (
     AsymptoticCoeffs,
@@ -269,3 +272,18 @@ def test_hankel_matches_order6_series_at_large_x():
             assert abs(h - pref * series6) <= abs(pref) * (
                 2.0 * first_omitted + 5e-15
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 8),
+       x=st.one_of(
+           st.floats(-3.0, 4.0).map(lambda e: 10.0 ** e),
+           st.tuples(st.sampled_from([0.25, 17.5]),
+                     st.floats(-1e-6, 1e-6)).map(lambda p: p[0] * (1 + p[1]))))
+def test_branches_match_scipy_property(m, x):
+    # J is held to |H_m| as well: below its turning point (x < m) and near
+    # its zeros J is tiny, and only its error on the scale of Y is meaningful
+    scale = abs(special.hankel1(m, x))
+    assert abs(hankel1(m, x) - special.hankel1(m, x)) <= 1e-14 * scale
+    assert abs(bessel_j(m, x) - special.jv(m, x)) <= 1e-14 * scale
+    assert abs(bessel_y(m, x) - special.yv(m, x)) <= 1e-14 * scale
