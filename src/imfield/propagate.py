@@ -148,28 +148,30 @@ class LineTrace:
 
 
 def _interp_table(absc, vals, s):
-    """Local Lagrange interpolation of degree 6 on the 7 nearest table nodes."""
+    """Local Lagrange interpolation of degree 6 on the 7 nearest table nodes.
+
+    Barycentric form, vectorised over the evaluation points: the windows
+    are gathered as (points, 7) arrays and the weights of each distinct
+    window computed once. A point on a node returns that node's value.
+    """
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    out = np.empty(s.shape, dtype=complex)
-    n = absc.size
-    idx = np.searchsorted(absc, s)
-    for i, (si, j) in enumerate(zip(s, idx)):
-        lo = min(max(j - 4, 0), n - 7)
-        xs = absc[lo:lo + 7]
-        ys = vals[lo:lo + 7]
-        # barycentric form, weights computed per window (7 nodes: cheap)
-        w = np.ones(7)
-        for k in range(7):
-            d = xs[k] - np.delete(xs, k)
-            w[k] = 1.0 / np.prod(d)
-        diff = si - xs
-        exact = np.nonzero(diff == 0.0)[0]
-        if exact.size:
-            out[i] = ys[exact[0]]
-        else:
-            t = w / diff
-            out[i] = (t @ ys) / t.sum()
-    return out
+    flat = s.ravel()
+    lo = np.clip(np.searchsorted(absc, flat) - 4, 0, absc.size - 7)
+    starts, which = np.unique(lo, return_inverse=True)
+    nodes = absc[starts[:, None] + np.arange(7)]
+    gaps = nodes[:, :, None] - nodes[:, None, :]
+    gaps[:, np.arange(7), np.arange(7)] = 1.0
+    w = (1.0 / np.prod(gaps, axis=2))[which]
+    win = lo[:, None] + np.arange(7)
+    xs, ys = absc[win], vals[win]
+    diff = flat[:, None] - xs
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = w / diff
+        out = np.sum(t * ys, axis=1) / np.sum(t, axis=1)
+    rows = np.nonzero(hit.any(axis=1))[0]
+    out[rows] = ys[rows, np.argmax(hit[rows], axis=1)]
+    return out.reshape(s.shape)
 
 
 def green_kernel_normal(x, y, nu, kappa: float):

@@ -13,9 +13,12 @@ exact integral of -(1/2 pi) ln|x - z| over the cell (closed form) plus the
 midpoint value of the smooth remainder. That keeps the weight matrix
 symmetric and the scheme second order, where plain midpoint stalls at
 O(n^-1 log n) on the diagonal. The weight between two cells depends only
-on their index offset, so the n^2 x n^2 matrix is gathered from an n x n
-stencil: n^2 kernel evaluations, which leaves the O(n^6) dense inverse of
-the interior system as the dominant cost.
+on their index offset, so the operator is a block-Toeplitz convolution with
+an n x n stencil: n^2 kernel evaluations build it, and a 2n x 2n FFT applies
+it (Vainikko, "Fast solvers of the Lippmann-Schwinger equation", 2000). The
+interior system (I - W diag v) u = b is solved matrix-free by restarted
+GMRES (Saad and Schultz, 1986), batched over right-hand sides; no n^2 x n^2
+array is formed.
 
 Far-field links implemented here: for |x| large,
 
@@ -46,7 +49,7 @@ back at the end.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,31 +140,70 @@ class PotentialGrid:
 
 @dataclass(frozen=True, eq=False)
 class GreenOperatorMatrix:
-    """Dense discretization of u -> integral_Omega G(x - z) v(z) u(z) dz.
+    """Discretization of u -> integral_Omega G(x - z) v(z) u(z) dz on the centers.
 
-    weights[i, j] is the corrected cell integral of G about center i; the
-    operator matrix is weights * v (column scaling), evaluated on centers.
-    weights is symmetric because the kernel and the cell geometry are.
+    stencil[a, b] is the corrected cell integral of G about a center at
+    index offset (+-a, +-b) from it; the weight depends on nothing else. The
+    operator is W diag(v) with the symmetric n^2 x n^2 weight matrix W
+    gathered from the stencil, but apply() never forms W: it convolves with
+    the stencil embedded in a 2n x 2n circulant (row n and column n zero),
+    whose FFT is computed once here. weights and matrix gather the dense
+    view for tests and small grids.
     """
 
     kappa: float
-    weights: np.ndarray
-    v_flat: np.ndarray
+    stencil: np.ndarray
+    v: np.ndarray
+    _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=complex)
-        vf = np.asarray(self.v_flat, dtype=complex)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] != vf.size:
-            raise ValueError("weights must be square and match v")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "v_flat", vf)
+        st = np.asarray(self.stencil, dtype=complex)
+        vv = np.asarray(self.v, dtype=complex)
+        if st.ndim != 2 or st.shape[0] != st.shape[1] or vv.shape != st.shape:
+            raise ValueError("stencil must be square and match v")
+        if not np.all(np.isfinite(st)):
+            raise ValueError("stencil must be finite")
+        n = st.shape[0]
+        # circulant row a holds offset a for a < n and 2n - a for a > n
+        fold = np.r_[np.arange(n), 0, np.arange(n - 1, 0, -1)]
+        circ = st[fold[:, None], fold[None, :]]
+        circ[n, :] = 0.0
+        circ[:, n] = 0.0
+        object.__setattr__(self, "stencil", st)
+        object.__setattr__(self, "v", vv)
         object.__setattr__(self, "kappa", float(self.kappa))
+        object.__setattr__(self, "_spectrum", np.fft.fft2(circ))
+
+    @property
+    def n(self) -> int:
+        return self.stencil.shape[0]
+
+    def apply(self, u):
+        """W (v * u) for u of shape (N,) or (N, m), N = n^2, one column each.
+
+        One batched FFT pad-multiply-crop over all columns.
+        """
+        u = np.asarray(u)
+        n = self.n
+        if u.shape[0] != n * n or u.ndim not in (1, 2):
+            raise ValueError("u must have shape (n*n,) or (n*n, m)")
+        cells = u.reshape(n, n, -1) * self.v[:, :, None]
+        spec = np.fft.fft2(cells, s=(2 * n, 2 * n), axes=(0, 1))
+        out = np.fft.ifft2(spec * self._spectrum[:, :, None], axes=(0, 1))
+        return out[:n, :n].reshape(u.shape)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense symmetric weight matrix W, gathered from the stencil."""
+        steps = np.arange(self.n)
+        delta = np.abs(np.subtract.outer(steps, steps))
+        w = self.stencil[delta[:, None, :, None], delta[None, :, None, :]]
+        return w.reshape(self.n * self.n, -1)
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.weights * self.v_flat[None, :]
+        """The dense operator matrix W diag(v)."""
+        return self.weights * self.v.reshape(-1)[None, :]
 
 
 def _log_primitive(x, y):
@@ -194,20 +236,23 @@ def _log_rect_integral(u, w, hx, hy):
             - _log_primitive(u + p, w - q) + _log_primitive(u - p, w - q))
 
 
-def _weight_rows(points, centers, hx, hy, kappa):
+def _weight_rows(points, centers, hx, hy, kappa, coeff=None):
     """Corrected cell weights, shape (len(points), len(centers)).
 
     Row i approximates cell integrals of G(x_i - z): midpoint of the smooth
     remainder G + (1/2 pi) ln plus the exact log integral. Valid for any
-    x_i, on a cell center included.
+    x_i, on a cell center included. With coeff (shape (len(centers),) or
+    (len(centers), m)) the result is rows @ coeff, each chunk of rows
+    reduced as soon as it is built, so the full row matrix is never held.
     """
     pts = np.asarray(points, dtype=float)
     cen = np.asarray(centers, dtype=float)
     area = hx * hy
     c0 = 0.25j + (np.log(2.0) - EULER_GAMMA - np.log(kappa)) / (2.0 * np.pi)
-    out = np.empty((pts.shape[0], cen.shape[0]), dtype=complex)
+    tail = (cen.shape[0],) if coeff is None else np.shape(coeff)[1:]
+    out = np.empty((pts.shape[0],) + tail, dtype=complex)
     # chunk the rows to bound the temporaries at desk scale
-    chunk = max(1, int(2 ** 21 // max(cen.shape[0], 1)))
+    chunk = max(1, int(2 ** 16 // max(cen.shape[0], 1)))
     for lo in range(0, pts.shape[0], chunk):
         block = pts[lo:lo + chunk]
         dx = cen[None, :, 0] - block[:, None, 0]
@@ -220,18 +265,18 @@ def _weight_rows(points, centers, hx, hy, kappa):
             smooth[pos] = 0.25j * hankel1(0, kappa * dp) \
                 + np.log(dp) / (2.0 * np.pi)
         logint = _log_rect_integral(dx, dy, hx, hy)
-        out[lo:lo + chunk] = area * smooth - logint / (2.0 * np.pi)
+        rows = area * smooth - logint / (2.0 * np.pi)
+        out[lo:lo + chunk] = rows if coeff is None else rows @ coeff
     return out
 
 
 def green_operator_matrix(grid: PotentialGrid) -> GreenOperatorMatrix:
-    """Assemble the dense corrected-weight operator for the grid.
+    """The corrected-weight operator of the grid, built from its stencil.
 
     The weight between two cells depends only on their index offset and is
-    even in each component, so it is read from an n x n stencil over the
-    non-negative offsets: n^2 kernel evaluations instead of n^4, and an
-    exactly symmetric matrix. The O(n^6) dense inverse of the interior
-    system is then the dominant cost of a solve.
+    even in each component, so one row over the n x n non-negative offsets
+    defines it: n^2 kernel evaluations, no n^2 x n^2 array, and an exactly
+    symmetric operator. Applying it costs one 2n x 2n FFT convolution.
     """
     n = grid.n
     hx, hy = grid.cell_size
@@ -240,35 +285,131 @@ def green_operator_matrix(grid: PotentialGrid) -> GreenOperatorMatrix:
     offsets = np.stack([di.reshape(-1), dj.reshape(-1)], axis=1)
     stencil = _weight_rows(np.zeros((1, 2)), offsets, hx, hy,
                            grid.kappa).reshape(n, n)
-    delta = np.abs(np.subtract.outer(steps, steps))
-    w = stencil[delta[:, None, :, None], delta[None, :, None, :]]
-    return GreenOperatorMatrix(kappa=grid.kappa, weights=w.reshape(n * n, -1),
-                               v_flat=grid.v_flat)
+    return GreenOperatorMatrix(kappa=grid.kappa, stencil=stencil, v=grid.v)
+
+
+# restarted GMRES: Krylov dimension per cycle, total iteration cap, and the
+# relative residual every right-hand side must reach
+_GMRES_RESTART = 60
+_GMRES_MAX_ITER = 600
+_GMRES_TOL = 1e-12
+
+
+def _gmres(matvec, b):
+    """Restarted GMRES for matvec(x) = b, all columns of b (N, m) at once.
+
+    Each column runs its own Arnoldi process (classical Gram-Schmidt,
+    applied twice) and its own Givens rotations, vectorised over the
+    columns, so one matvec call per step serves every column. A column is
+    done once its relative residual is <= _GMRES_TOL. Stops early when a
+    restart cycle fails to halve the largest residual left (a stall), or at
+    _GMRES_MAX_ITER steps. Returns x, each column's relative residual
+    (recomputed from b - matvec(x)) and the step count.
+    """
+    bnorm = np.linalg.norm(b, axis=0)
+    scale = np.where(bnorm > 0.0, bnorm, 1.0)
+    x = np.zeros_like(b)
+    r = b
+    rel = bnorm / scale
+    steps = 0
+    while True:
+        active = ~(rel <= _GMRES_TOL)  # NaN counts as unconverged
+        if not active.any() or steps >= _GMRES_MAX_ITER:
+            return x, rel, steps
+        k = min(_GMRES_RESTART, _GMRES_MAX_ITER - steps)
+        dx, used = _gmres_cycle(matvec, r[:, active], scale[active], k)
+        steps += used
+        x[:, active] += dx
+        start = rel
+        r = b - matvec(x)
+        rel = np.linalg.norm(r, axis=0) / scale
+        if not np.all(rel[active] <= np.maximum(0.5 * start[active],
+                                                 _GMRES_TOL)):
+            return x, rel, steps
+
+
+def _gmres_cycle(matvec, r, scale, k):
+    """At most k GMRES steps from residual r (N, m); returns (dx, steps)."""
+    n, m = r.shape
+    beta = np.linalg.norm(r, axis=0)
+    basis = np.zeros((k + 1, n, m), dtype=complex)
+    basis[0] = r / np.where(beta > 0.0, beta, 1.0)
+    hess = np.zeros((k + 1, k, m), dtype=complex)
+    cs = np.zeros((k, m))
+    sn = np.zeros((k, m), dtype=complex)
+    g = np.zeros((k + 1, m), dtype=complex)
+    g[0] = beta
+    length = np.full(m, k)  # Krylov dimension each column stopped at
+    for j in range(k):
+        w = matvec(basis[j])
+        h = np.zeros((j + 1, m), dtype=complex)
+        for _ in range(2):
+            hj = np.einsum("inm,nm->im", basis[:j + 1].conj(), w)
+            w = w - np.einsum("inm,im->nm", basis[:j + 1], hj)
+            h += hj
+        hn = np.linalg.norm(w, axis=0)
+        basis[j + 1] = w / np.where(hn > 0.0, hn, 1.0)
+        col = np.concatenate([h, hn[None].astype(complex)])
+        for i in range(j):
+            a, c = col[i].copy(), col[i + 1].copy()
+            col[i] = cs[i] * a + sn[i] * c
+            col[i + 1] = -np.conj(sn[i]) * a + cs[i] * c
+        a, c = col[j].copy(), col[j + 1].copy()
+        size = np.abs(a)
+        rho = np.hypot(size, np.abs(c))
+        unit = np.where(size > 0.0, a / np.where(size > 0.0, size, 1.0), 1.0)
+        safe = np.where(rho > 0.0, rho, 1.0)
+        cs[j] = np.where(rho > 0.0, size / safe, 1.0)
+        sn[j] = unit * np.conj(c) / safe
+        col[j] = unit * rho
+        col[j + 1] = 0.0
+        hess[:j + 2, j] = col
+        g[j + 1] = -np.conj(sn[j]) * g[j]
+        g[j] = cs[j] * g[j]
+        done = (length == k) & (np.abs(g[j + 1]) <= _GMRES_TOL * scale)
+        length[done] = j + 1
+        if np.all(length <= j + 1):
+            break
+    steps = j + 1
+    # back substitution, each column on its own Krylov dimension
+    y = np.zeros((steps, m), dtype=complex)
+    for i in range(steps - 1, -1, -1):
+        use = i < length
+        num = g[i] - np.einsum("lm,lm->m", hess[i, i + 1:steps], y[i + 1:])
+        diag = hess[i, i]
+        y[i] = np.where(use, num / np.where(use & (diag != 0.0), diag, 1.0),
+                        0.0)
+    return np.einsum("inm,im->nm", basis[:steps], y), steps
 
 
 class _SolverCore:
-    """Factored interior system for one grid, shared across source points."""
+    """The interior operator of one grid, shared across source points."""
 
-    __slots__ = ("inv", "cond", "centers")
+    __slots__ = ("op", "centers")
 
     def __init__(self, grid: PotentialGrid):
         self.centers = grid.centers()
-        a = -green_operator_matrix(grid).matrix
-        a.flat[::a.shape[0] + 1] += 1.0
-        try:
-            inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError as exc:
+        self.op = green_operator_matrix(grid)
+
+    def solve(self, b):
+        """u with (I - W diag v) u = b, for b of shape (N,) or (N, m).
+
+        Raises RuntimeError when GMRES cannot reach the relative residual
+        _GMRES_TOL: the system is singular or too ill-conditioned, i.e. the
+        unique-solvability condition fails (or nearly fails) at this kappa.
+        """
+        b = np.asarray(b, dtype=complex)
+        cols = b.reshape(b.shape[0], -1)
+        u, rel, steps = _gmres(lambda x: x - self.op.apply(x), cols)
+        worst = float(np.max(rel))
+        if not worst <= _GMRES_TOL:
             raise RuntimeError(
-                "interior system is singular: the unique-solvability "
-                "condition fails for this potential and kappa") from exc
-        cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise RuntimeError(
-                f"interior system is near-singular (cond ~ {cond:.3g}): the "
-                "unique-solvability condition fails for this potential and "
-                "kappa; it is reported rather than regularized")
-        self.inv = inv
-        self.cond = cond
+                f"interior system is singular or near-singular: GMRES "
+                f"reached relative residual {worst:.3g} after {steps} "
+                f"iterations (target {_GMRES_TOL:g}); the unique-solvability "
+                "condition fails for this potential and kappa; it is "
+                "reported rather than regularized")
+        return u.reshape(b.shape)
 
 
 _CORES = weakref.WeakKeyDictionary()
@@ -320,9 +461,8 @@ class VolumeField:
             out = np.zeros(pts.shape[:-1], dtype=complex)
             return complex(out) if pts.ndim == 1 else out
         hx, hy = self.cell_size
-        rows = _weight_rows(pts.reshape(-1, 2), self.centers, hx, hy,
-                            self.kappa)
-        vals = rows @ self.coeff
+        vals = _weight_rows(pts.reshape(-1, 2), self.centers, hx, hy,
+                            self.kappa, self.coeff)
         return complex(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
 
     def __call__(self, x):
@@ -371,7 +511,7 @@ def solve_lippmann_schwinger(grid: PotentialGrid, y) -> VolumeField:
     if np.min(gap) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise ValueError("y coincides with a cell center; offset it")
     rhs = -0.25j * hankel1(0, kappa * gap)
-    coeff = grid.v_flat * (core.inv @ rhs)
+    coeff = grid.v_flat * core.solve(rhs)
     return VolumeField(kappa, incident, coeff, core.centers, grid.cell_size)
 
 
@@ -398,7 +538,7 @@ def plane_wave_solution(grid: PotentialGrid, k) -> VolumeField:
     if grid.is_free:
         return VolumeField(grid.kappa, incident)
     core = _core(grid)
-    coeff = grid.v_flat * (core.inv @ np.exp(1j * (core.centers @ k)))
+    coeff = grid.v_flat * core.solve(np.exp(1j * (core.centers @ k)))
     return VolumeField(grid.kappa, incident, coeff, core.centers,
                        grid.cell_size)
 
@@ -571,10 +711,10 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         gap = np.hypot(core.centers[:, None, 0] - lam_pts[None, :, 0],
                        core.centers[:, None, 1] - lam_pts[None, :, 1])
         rhs = -0.25j * hankel1(0, kappa * gap)
-        coeffs = grid.v_flat[:, None] * (core.inv @ rhs)
+        coeffs = grid.v_flat[:, None] * core.solve(rhs)
 
         def d_on(points):
-            return _weight_rows(points, core.centers, hx, hy, kappa) @ coeffs
+            return _weight_rows(points, core.centers, hx, hy, kappa, coeffs)
 
         d_direct = d_on(lam_pts)
         d_plus = d_on(pts_plus)

@@ -12,6 +12,7 @@ All evaluation functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,8 +32,8 @@ EULER_GAMMA = 0.57721566490153286061
 
 # Branch boundaries. Below _SERIES_SPLIT the defining power series needs a
 # handful of terms; above _ASYM_SPLIT the asymptotic series bottoms out near
-# machine epsilon. In between, normalized downward recurrence covers every
-# order at once.
+# machine epsilon. In between, one normalized downward recurrence pass gives
+# J_m and, through the Neumann sums, Y_0 and Y_1.
 _SERIES_SPLIT = 0.25
 _ASYM_SPLIT = 17.5
 # Last power of 1/x kept in the asymptotic branch. The k-th term of the H_0
@@ -118,51 +119,80 @@ def _j_power_series(m: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _miller_table(x: np.ndarray, n_top: int) -> np.ndarray:
-    """J_0..J_{n_top} at each x via normalized downward recurrence.
+@functools.lru_cache(maxsize=None)
+def _neumann_weights(k: int):
+    """Rows of the running sums that J_k enters, and its weights there.
 
-    Requires n_top to exceed max(x) by a safety margin (~40) so the seeded
-    minimal solution dominates. Returns an array of shape (n_top+1, len(x)).
+    Row 0 is the normaliser J_0 + 2 (J_2 + J_4 + ...), which equals 1
+    exactly; rows 1 and 2 are S_0 = sum_j w_j J_2j and
+    S_1 = sum_j w_j (J_2j-1 - J_2j+1), with w_j = (-1)^(j+1) / j, which give
+    Y_0 and Y_1 (see _y01). Collecting S_1 by index gives J_2j+1 the weight
+    w_j+1 - w_j, so every sum can be built in one pass over descending k
+    without keeping a table. Returns (slice of rows, weight column).
     """
-    n = x.shape[0]
-    tab = np.zeros((n_top + 1, n))
-    jp = np.zeros(n)  # J_{k+1}, unnormalized
-    jc = np.full(n, 1e-30)  # J_k, unnormalized
-    tab[n_top] = jc
-    for k in range(n_top, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        big = np.abs(jc) > 1e250
-        if big.any():
-            scale = np.where(big, 1e-250, 1.0)
+    def w(j):
+        return 0.0 if j == 0 else (-1.0) ** (j + 1) / j
+
+    if k == 0:
+        rows, wts = slice(0, 1), [1.0]
+    elif k % 2 == 0:
+        rows, wts = slice(0, 2), [2.0, w(k // 2)]
+    else:
+        rows, wts = slice(2, 3), [w(k // 2 + 1) - w(k // 2)]
+    col = np.array(wts)[:, None]
+    col.setflags(write=False)
+    return rows, col
+
+
+def _add_neumann(sums, k: int, jk):
+    """Add the share of J_k (values jk) to the rows of sums, in place."""
+    rows, col = _neumann_weights(k)
+    sums[rows] += col * jk
+
+
+def _y01(x: np.ndarray, j0, j1, sums):
+    """Y_0 and Y_1 from J_0, J_1 and the Neumann sums (rows 1, 2 of sums)."""
+    ell = np.log(0.5 * x) + EULER_GAMMA
+    y0 = (2.0 / np.pi) * ell * j0 + (4.0 / np.pi) * sums[1]
+    y1 = (2.0 / np.pi) * (ell * j1 - j0 / x) - (2.0 / np.pi) * sums[2]
+    return y0, y1
+
+
+def _miller(x: np.ndarray, n_top: int, m: int):
+    """J_m, Y_0 and Y_1 at each x by one normalized downward recurrence.
+
+    Requires n_top to exceed max(x) and m by a safety margin (~40) so the
+    seeded minimal solution dominates. Only the running values J_m, J_1,
+    J_0 and the Neumann sums (normaliser included) are kept, all rescaled
+    together whenever the recurrence rescales, so memory stays O(len(x)).
+    """
+    jp = np.zeros_like(x)  # J_{k+1}, unnormalized
+    jc = np.full_like(x, 1e-30)  # J_k, unnormalized
+    sums = np.zeros((3,) + x.shape)
+    kept = {}
+    # bounds on |J_k| and |J_{k+1}| over all x decide when to look for
+    # entries to rescale; from n_top = 77 at x >= 0.25 (the middle branch
+    # for orders up to 17) the bound stays below 1e153, so none ever are
+    step, bound, prev = 2.0 / float(x.min()), 1e-30, 0.0
+    for k in range(n_top, -1, -1):
+        _add_neumann(sums, k, jc)
+        if k in (m, 1):
+            kept[k] = jc
+        if k == 0:
+            break
+        jp, jc = jc, (2.0 * k / x) * jc - jp
+        bound, prev = k * step * bound + prev, bound
+        if bound > 1e250:
+            scale = np.where(np.abs(jc) > 1e250, 1e-250, 1.0)
             jc = jc * scale
             jp = jp * scale
-            tab[k:, :] *= scale  # rows k..n_top written so far
-        tab[k - 1] = jc
-    # The Neumann sum J_0 + 2*(J_2 + J_4 + ...) equals 1 exactly.
-    norm = tab[0] + 2.0 * tab[2::2].sum(axis=0)
-    tab /= norm
-    return tab
-
-
-def _y01_from_jtable(x: np.ndarray, tab: np.ndarray):
-    """Y_0 and Y_1 from a table of J_0..J_n via Neumann-type series."""
-    ell = np.log(0.5 * x) + EULER_GAMMA
-    j0 = tab[0]
-    j1 = tab[1]
-    n_top = tab.shape[0] - 1
-    kmax = (n_top - 1) // 2
-    ks = np.arange(1, kmax + 1)
-    signs = np.where(ks % 2 == 1, 1.0, -1.0)
-    even = tab[2 * ks]  # J_{2k}
-    odd_lo = tab[2 * ks - 1]  # J_{2k-1}
-    odd_hi = tab[2 * ks + 1]  # J_{2k+1}
-    w = (signs / ks)[:, None]
-    y0 = (2.0 / np.pi) * ell * j0 + (4.0 / np.pi) * np.sum(w * even, axis=0)
-    y1 = (2.0 / np.pi) * (ell * j1 - j0 / x) - (2.0 / np.pi) * np.sum(
-        w * (odd_lo - odd_hi), axis=0
-    )
-    return y0, y1
+            sums *= scale
+            kept = {key: val * scale for key, val in kept.items()}
+            bound, prev = float(np.abs(jc).max()), float(np.abs(jp).max())
+    norm = sums[0]
+    j1 = kept[1] / norm
+    y0, y1 = _y01(x, jc / norm, j1, sums / norm)
+    return (jc if m == 0 else kept[m]) / norm, y0, y1
 
 
 def _h01_asym(x: np.ndarray):
@@ -214,20 +244,22 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
         if need_j:
             jv[small] = _j_power_series(m, xs)
         if need_y:
-            # Orders through 13 make the Neumann tails < 1e-19 for x < 0.25.
-            n_tab = max(m, 13) if m <= 1 else 13
-            tab = np.stack([_j_power_series(k, xs) for k in range(n_tab + 1)])
-            y0, y1 = _y01_from_jtable(xs, tab)
+            # Orders through 13 make the Neumann tails < 1e-19 for x < 0.25;
+            # the power series stands in for the recurrence, which would
+            # overflow at tiny x.
+            js = [_j_power_series(k, xs) for k in range(14)]
+            sums = np.zeros((3,) + xs.shape)
+            for k, jk in enumerate(js):
+                _add_neumann(sums, k, jk)
+            y0, y1 = _y01(xs, js[0], js[1], sums)
             yv[small] = _upward(y0, y1, m, xs)
 
     if mid.any():
         xs = x[mid]
-        n_top = max(m, int(_ASYM_SPLIT)) + 60
-        tab = _miller_table(xs, n_top)
+        jm, y0, y1 = _miller(xs, max(m, int(_ASYM_SPLIT)) + 60, m)
         if need_j:
-            jv[mid] = tab[m]
+            jv[mid] = jm
         if need_y:
-            y0, y1 = _y01_from_jtable(xs, tab)
             yv[mid] = _upward(y0, y1, m, xs)
 
     if big.any():
@@ -249,7 +281,7 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
                 if rest.any():
                     xr = xs[rest]
                     n_top = max(m, int(np.ceil(xr.max()))) + 60
-                    jp[rest] = _miller_table(xr, n_top)[m]
+                    jp[rest] = _miller(xr, n_top, m)[0]
                 jv[big] = jp
     return jv, yv
 

@@ -26,7 +26,7 @@ from imfield import (
     reconstruct_from_im,
     schedule_abscissas,
 )
-from imfield.propagate import _gap_design, _schedule_for_order
+from imfield.propagate import _gap_design, _interp_table, _schedule_for_order
 
 KAPPA = 5.0
 LAM = 2.0 * np.pi / KAPPA
@@ -116,6 +116,44 @@ def test_linetrace_table_interpolation():
     assert np.max(np.abs(tr.psi(s) - fn(s))) <= 1e-4
     # exact at the nodes
     assert np.max(np.abs(tr.psi(a[3:7]) - fn(a[3:7]))) == 0.0
+
+
+def _interp_table_loop(absc, vals, s):
+    """Reference: the per-point barycentric loop _interp_table vectorises."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.empty(s.shape, dtype=complex)
+    n = absc.size
+    idx = np.searchsorted(absc, s)
+    for i, (si, j) in enumerate(zip(s, idx)):
+        lo = min(max(j - 4, 0), n - 7)
+        xs = absc[lo:lo + 7]
+        ys = vals[lo:lo + 7]
+        w = np.ones(7)
+        for k in range(7):
+            w[k] = 1.0 / np.prod(xs[k] - np.delete(xs, k))
+        diff = si - xs
+        exact = np.nonzero(diff == 0.0)[0]
+        if exact.size:
+            out[i] = ys[exact[0]]
+        else:
+            t = w / diff
+            out[i] = (t @ ys) / t.sum()
+    return out
+
+
+def test_interp_table_matches_per_point_loop():
+    # uneven nodes; points inside, on nodes (both ends included) and just
+    # past either end
+    rng = np.random.default_rng(9)
+    a = np.cumsum(rng.uniform(0.05, 0.2, 60)) - 5.0
+    v = np.exp(1j * KAPPA * a) * (1.0 + 0.3 * rng.standard_normal(60))
+    s = np.concatenate([rng.uniform(a[0], a[-1], 400), a[[0, 1, 7, 30, -2, -1]],
+                        [a[0] - 0.03, a[-1] + 0.03]])
+    got = _interp_table(a, v, s)
+    want = _interp_table_loop(a, v, s)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    on = slice(400, 406)
+    assert np.array_equal(got[on], v[[0, 1, 7, 30, -2, -1]])
 
 
 # ------------------------------------------------------------------ kernel

@@ -24,7 +24,7 @@ from imfield import (
     solve_lippmann_schwinger,
 )
 from imfield import scatter
-from imfield.scatter import _log_rect_integral, _weight_rows
+from imfield.scatter import _SolverCore, _log_rect_integral, _weight_rows
 from imfield.specfun import _reduce_phase
 
 KAPPA = 4.0
@@ -128,6 +128,61 @@ def test_green_operator_stencil_matches_direct_rows():
     assert np.array_equal(w, w.T)
 
 
+def test_operator_apply_matches_dense_matrix():
+    # odd n, an off-centre box, hx != hy and complex v; 1-d and batched input
+    n = 9
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grid = PotentialGrid(bbox=(0.3, -0.9, 1.2, -0.2), n=n, v=v, kappa=KAPPA)
+    assert grid.cell_size[0] != grid.cell_size[1]
+    op = green_operator_matrix(grid)
+    dense = op.matrix
+    for shape in ((n * n,), (n * n, 3)):
+        u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = dense @ u
+        got = op.apply(u)
+        assert got.shape == shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_weight_rows_reduce_by_coeff():
+    # with coeff the rows are reduced chunk by chunk; 300 points x 400
+    # centers spans several chunks
+    rng = np.random.default_rng(2)
+    pts = rng.uniform(-3.0, 3.0, (300, 2))
+    cen = rng.uniform(-0.5, 0.5, (400, 2))
+    rows = _weight_rows(pts, cen, 0.05, 0.04, KAPPA)
+    for shape in ((400,), (400, 3)):
+        coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = rows @ coeff
+        got = _weight_rows(pts, cen, 0.05, 0.04, KAPPA, coeff)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0])
+@pytest.mark.parametrize("n", [8, 15, 32])
+def test_solver_core_matches_dense_solve(kappa, n):
+    grid = gauss_grid(n, kappa=kappa)
+    rng = np.random.default_rng(n)
+    rhs = rng.standard_normal((n * n, 4)) + 1j * rng.standard_normal((n * n, 4))
+    dense = np.eye(n * n) - green_operator_matrix(grid).matrix
+    want = np.linalg.solve(dense, rhs)
+    got = _SolverCore(grid).solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+    one = _SolverCore(grid).solve(rhs[:, 1])
+    assert np.max(np.abs(one - want[:, 1])) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_solver_core_holds_no_dense_array():
+    # at n = 32 an N x N complex array alone would be 16 MB
+    core = _SolverCore(gauss_grid(32))
+    held = [core.centers] + [a for a in vars(core.op).values()
+                             if isinstance(a, np.ndarray)]
+    assert sum(a.nbytes for a in held) <= 2 ** 20
+    assert not any(a.ndim == 2 and min(a.shape) >= 32 * 32 for a in held)
+
+
 def test_free_resolvent_identity():
     grid = free_grid()
     y = np.array([0.3, -2.0])
@@ -226,6 +281,18 @@ def test_singular_system_reported():
     mu = np.linalg.eigvals(w * grid.v_flat[None, :])
     mu0 = mu[np.argmax(np.abs(mu))]
     bad = PotentialGrid(bbox=BOX, n=8, v=grid.v / mu0, kappa=KAPPA)
+    with pytest.raises(RuntimeError, match="unique-solvability"):
+        solve_lippmann_schwinger(bad, (0.0, -2.0))
+
+
+def test_near_singular_system_reported():
+    # one part in 1e13 off singular: cond ~ 1e13, never solved to 1e-12
+    grid = gauss_grid(8, amp=1.0)
+    w = green_operator_matrix(grid).weights
+    mu = np.linalg.eigvals(w * grid.v_flat[None, :])
+    mu0 = mu[np.argmax(np.abs(mu))]
+    bad = PotentialGrid(bbox=BOX, n=8, v=grid.v / mu0 * (1.0 + 1e-13),
+                        kappa=KAPPA)
     with pytest.raises(RuntimeError, match="unique-solvability"):
         solve_lippmann_schwinger(bad, (0.0, -2.0))
 

@@ -287,3 +287,18 @@ def test_branches_match_scipy_property(m, x):
     assert abs(hankel1(m, x) - special.hankel1(m, x)) <= 1e-14 * scale
     assert abs(bessel_j(m, x) - special.jv(m, x)) <= 1e-14 * scale
     assert abs(bessel_y(m, x) - special.yv(m, x)) <= 1e-14 * scale
+
+
+def test_miller_branch_memory_is_linear():
+    # one downward pass keeps a few running arrays; a full order table of
+    # 65,536 points would take ~40 MB per 78 orders, plus its gathers
+    import tracemalloc
+
+    x = np.random.default_rng(4).uniform(2.0, 17.0, 65536)
+    tracemalloc.start()
+    try:
+        hankel1(0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6
