@@ -35,7 +35,7 @@ import contextlib
 import contextvars
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,6 +98,10 @@ class HalfPlaneSpec:
         return float((np.asarray(x, dtype=float) - p) @ np.asarray(self.normal))
 
 
+# 6-point Gauss-Legendre nodes and weights on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+
+
 @dataclass(frozen=True, eq=False)
 class LineTrace:
     """Trace of psi on the line over [-S, S] in the line's abscissa.
@@ -106,6 +110,10 @@ class LineTrace:
     (interpolated with degree-6 local polynomials; the table must cover
     [-S, S] and resolve the oscillation with >= 10 samples per wavelength,
     checked against kappa at propagation time).
+
+    The provider is taken as fixed: the quadrature nodes, weights and trace
+    values at them are memoised per (kappa, panels per wavelength), so every
+    target propagated from one trace evaluates the trace once per node set.
     """
 
     S: float
@@ -113,6 +121,7 @@ class LineTrace:
     func: object = None
     abscissas: np.ndarray = None
     values: np.ndarray = None
+    _node_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.S <= 0:
@@ -145,6 +154,26 @@ class LineTrace:
         if self.func is not None:
             return np.asarray(self.func(s), dtype=complex)
         return _interp_table(self.abscissas, self.values, s)
+
+    def _nodes(self, kappa: float, ppw: int):
+        """Read-only (s, w, psi(s)) of the composite 6-point Gauss-Legendre
+        rule over [-S, S] with ppw panels per wavelength, memoised."""
+        key = (float(kappa), int(ppw))
+        if key not in self._node_cache:
+            lam = 2.0 * np.pi / kappa
+            n_panels = max(int(math.ceil(2.0 * self.S * ppw / lam)), 1)
+            edges = np.linspace(-self.S, self.S, n_panels + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            half = 0.5 * (edges[1] - edges[0])
+            s = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
+            w = np.broadcast_to(half * _GL_WEIGHTS[None, :],
+                                (n_panels, 6)).ravel()
+            # a copy, so that freezing it cannot reach the provider's array
+            vals = np.array(self.psi(s))
+            for arr in (s, w, vals):
+                arr.setflags(write=False)
+            self._node_cache[key] = (s, w, vals)
+        return self._node_cache[key]
 
 
 def _interp_table(absc, vals, s):
@@ -195,25 +224,13 @@ def green_kernel_normal(x, y, nu, kappa: float):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-# 6-point Gauss-Legendre nodes and weights on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-
-
 def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, ppw):
-    lam = 2.0 * np.pi / kappa
-    n_panels = max(int(math.ceil(2.0 * trace.S * ppw / lam)), 1)
-    edges = np.linspace(-trace.S, trace.S, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    s = (mid[:, None] + half * _GL_NODES[None, :]).ravel()
-    w = np.broadcast_to(half * _GL_WEIGHTS[None, :],
-                        (n_panels, 6)).ravel()
+    s, w, vals = trace._nodes(kappa, ppw)
     p = np.asarray(spec.line.point)
     t = np.asarray(spec.line.theta)
     y = p + np.multiply.outer(s, t)
     kern = green_kernel_normal(np.asarray(x, dtype=float), y,
                                spec.normal, kappa)
-    vals = trace.psi(s)
     # nu points out of V_L, so the Green representation carries -2
     return -2.0 * np.sum(w * kern * vals), s, vals
 
@@ -229,7 +246,10 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
     exceeds it, a coverage error is raised. full_output adds a dict with the
     tail bound and a quadrature self-error estimate (difference from a
     second pass at half the panels, run only then), an empirical upper
-    bound on further refinement changes.
+    bound on further refinement changes. The trace values at the nodes are
+    memoised on the trace per (kappa, panels per wavelength), and its
+    provider is taken as fixed, so calls for further targets evaluate only
+    the kernel.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -495,7 +515,8 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     """Field values at targets in V_L from imaginary-part samples on L.
 
     Pipeline: extract_all -> karp_from_farfield -> karp_line_trace ->
-    propagate_halfplane per target. Stage labels are prefixed onto any
+    propagate_halfplane per target, all from the one trace, which is
+    evaluated once on the quadrature nodes. Stage labels are prefixed onto any
     error raised along the way. The samples do double duty: the extraction
     schedule abscissas feed the far-field solve, and every sample inside
     the Karp gap feeds the completion fit there, so the sample set should

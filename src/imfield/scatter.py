@@ -744,18 +744,15 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
                 gap_center=tuple(center))
             d_recovered[:, j] = trace.func(s_pts)
 
+    # R = D - G off the diagonal, where G(x_i - x_j) is finite
+    mask = ~np.eye(n_points, dtype=bool)
+    g = _free_kernel(kappa, (lam_pts[:, None] - lam_pts[None, :])[mask])
     recovered = np.full((n_points, n_points), np.nan + 0j, dtype=complex)
     direct = np.full((n_points, n_points), np.nan + 0j, dtype=complex)
-    for j in range(n_points):
-        for i in range(n_points):
-            if i == j:
-                continue
-            g = _free_kernel(kappa, lam_pts[i] - lam_pts[j])
-            recovered[i, j] = d_recovered[i, j] - g
-            direct[i, j] = d_direct[i, j] - g
+    recovered[mask] = d_recovered[mask] - g
+    direct[mask] = d_direct[mask] - g
 
     scale = _offdiag_scale(direct)
-    mask = ~np.eye(n_points, dtype=bool)
     err = float(np.max(np.abs((recovered - direct)[mask]))) / scale
     return GklReport(s_points=s_pts, recovered=recovered, direct=direct,
                      max_rel_err=err,

@@ -3,7 +3,8 @@
 Everything is computed from scratch in float64: power series for small
 arguments, normalized downward recurrence for the middle range, and beyond
 that the large-argument asymptotic series of hankel_asym_coeffs, summed
-through a fixed 35th power of 1/x. No third-party special-function library
+through a fixed 35th power of 1/x as two real polynomials in 1/x^2 for the
+one order asked for. No third-party special-function library
 is used anywhere in the package; tests validate against independent
 oracles.
 
@@ -195,17 +196,36 @@ def _miller(x: np.ndarray, n_top: int, m: int):
     return (jc if m == 0 else kept[m]) / norm, y0, y1
 
 
-def _h01_asym(x: np.ndarray):
-    """H_0 and H_1 for x >= _ASYM_SPLIT as fixed-length asymptotic sums.
+def _horner(coeffs, v):
+    """sum_j coeffs[j] v^j by Horner's rule, in place on one array."""
+    acc = np.full_like(v, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= v
+        acc += c
+    return acc
 
-    Each is the hankel_asym_coeffs series through x^-_ASYM_ORDER, summed by
-    Horner's rule, times its leading factor sqrt(2/(pi x)) exp(i(x - m pi/2
-    - pi/4)).
+
+def _jy_asym(m: int, x: np.ndarray):
+    """J_m and Y_m for m in (0, 1) and x >= _ASYM_SPLIT, from the asymptotic
+    series of H_m = J_m + i Y_m.
+
+    The hankel_asym_coeffs series through x^-_ASYM_ORDER has a_k = i^k r_k
+    with r_k real, so it equals P(x^-2) + i Q(x^-2) / x for the two real
+    polynomials of _ASYM_PQ, each summed by Horner's rule; H_m is that sum
+    times sqrt(2/(pi x)) exp(i(x - m pi/2 - pi/4)).
     """
+    p, q = _ASYM_PQ[m]
+    u = 1.0 / x
+    v = u * u
+    big_p = _horner(p, v)
+    big_q = u * _horner(q, v)
     phase = _reduce_phase(x) - 0.25 * np.pi
-    lead = np.sqrt(2.0 / (np.pi * x)) * (np.cos(phase) + 1j * np.sin(phase))
-    return (lead * _ASYM_SERIES[0].evaluate(x),
-            -1j * lead * _ASYM_SERIES[1].evaluate(x))
+    amp = np.sqrt(2.0 / (np.pi * x))
+    c, s = amp * np.cos(phase), amp * np.sin(phase)
+    re = c * big_p - s * big_q
+    im = s * big_p + c * big_q
+    # exp(-i m pi/2) is 1 for H_0 and -i for H_1
+    return (re, im) if m == 0 else (im, -re)
 
 
 def _upward(c0, c1, m: int, x):
@@ -262,27 +282,30 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
         if need_y:
             yv[mid] = _upward(y0, y1, m, xs)
 
-    if big.any():
-        xs = x[big]
-        h0, h1 = _h01_asym(xs)
-        if need_y:
-            yv[big] = _upward(h0.imag, h1.imag, m, xs)
+    if big.any() and m <= 1:
+        jm, ym = _jy_asym(m, x[big])
         if need_j:
-            if m <= 1:
-                jv[big] = h0.real if m == 0 else h1.real
-            else:
-                # Upward recurrence for J is stable only while m stays well
-                # below x; otherwise fall back to downward recurrence.
-                jp = np.empty_like(xs)
-                up = m <= 0.75 * xs
-                if up.any():
-                    jp[up] = _upward(h0.real[up], h1.real[up], m, xs[up])
-                rest = ~up
-                if rest.any():
-                    xr = xs[rest]
-                    n_top = max(m, int(np.ceil(xr.max()))) + 60
-                    jp[rest] = _miller(xr, n_top, m)[0]
-                jv[big] = jp
+            jv[big] = jm
+        if need_y:
+            yv[big] = ym
+    elif big.any():
+        xs = x[big]
+        (j0, y0), (j1, y1) = _jy_asym(0, xs), _jy_asym(1, xs)
+        if need_y:
+            yv[big] = _upward(y0, y1, m, xs)
+        if need_j:
+            # Upward recurrence for J is stable only while m stays well
+            # below x; otherwise fall back to downward recurrence.
+            jp = np.empty_like(xs)
+            up = m <= 0.75 * xs
+            if up.any():
+                jp[up] = _upward(j0[up], j1[up], m, xs[up])
+            rest = ~up
+            if rest.any():
+                xr = xs[rest]
+                n_top = max(m, int(np.ceil(xr.max()))) + 60
+                jp[rest] = _miller(xr, n_top, m)[0]
+            jv[big] = jp
     return jv, yv
 
 
@@ -322,8 +345,8 @@ def hankel1(m, x):
     """Hankel function of the first kind, H_m(x) = J_m(x) + i Y_m(x), x > 0."""
     m = _check_order(m)
     flat, shape, scalar = _prep_x(x, positive=True)
-    jv, yv = _jy_flat(m, flat, True, True)
-    out = jv + 1j * yv
+    out = np.empty(flat.shape, dtype=complex)
+    out.real, out.imag = _jy_flat(m, flat, True, True)
     if scalar:
         return complex(out[0])
     return out.reshape(shape)
@@ -371,4 +394,14 @@ def hankel_asym_coeffs(m, K):
     return AsymptoticCoeffs(order=m, coeffs=coeffs)
 
 
-_ASYM_SERIES = [hankel_asym_coeffs(m, _ASYM_ORDER) for m in (0, 1)]
+def _asym_pq(m: int):
+    """Real coefficients of P and Q (see _jy_asym) for H_m: a_2j = p_j and
+    a_2j+1 = i q_j. Read-only arrays."""
+    a = np.array(hankel_asym_coeffs(m, _ASYM_ORDER).coeffs)
+    p, q = a[0::2].real.copy(), a[1::2].imag.copy()
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return p, q
+
+
+_ASYM_PQ = [_asym_pq(m) for m in (0, 1)]

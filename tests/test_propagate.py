@@ -465,6 +465,50 @@ def test_reconstruct_two_multipole_scenario():
         assert abs(g - ref) <= 1e-2 * abs(ref), f"target {x}"
 
 
+def _reconstruct_keeping_trace(monkeypatch, targets):
+    """reconstruct_from_im on the point-source scenario, plus its trace."""
+    traces = []
+    build = propagate_mod.karp_line_trace
+
+    def keeping(*args, **kwargs):
+        traces.append(build(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(propagate_mod, "karp_line_trace", keeping)
+    ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
+    sp, sm, _ = _scenario_samples(ps, 3)
+    got = reconstruct_from_im(sp, sm, 3, SPEC, targets)
+    return got, traces[0]
+
+
+TRACE_TARGETS = [np.array([0.5, -4.0]), np.array([3.0, -6.0]),
+                 np.array([-5.0, -8.0]), np.array([10.0, -4.0])]
+
+
+def test_reconstruct_evaluates_trace_once(monkeypatch):
+    sizes = []
+    psi = LineTrace.psi
+
+    def counting(self, s):
+        sizes.append(np.size(s))
+        return psi(self, s)
+
+    monkeypatch.setattr(LineTrace, "psi", counting)
+    _, trace = _reconstruct_keeping_trace(monkeypatch, TRACE_TARGETS)
+    # 10 panels of 6 nodes per wavelength over [-S, S], S = 200 wavelengths
+    assert trace.S == 200 * LAM
+    assert sizes == [6 * 4000]
+
+
+def test_memoised_trace_matches_fresh_traces(monkeypatch):
+    got, trace = _reconstruct_keeping_trace(monkeypatch, TRACE_TARGETS)
+    for x, g in zip(TRACE_TARGETS, got):
+        fresh = LineTrace(S=trace.S, func=trace.func)
+        assert propagate_halfplane(fresh, SPEC, x, KAPPA) == g
+        v, info = propagate_halfplane(trace, SPEC, x, KAPPA, full_output=True)
+        assert v == g and info["quad_error_estimate"] > 0
+
+
 def test_reconstruct_ray_relabeling_reciprocity():
     mix = RadiationField(terms=(Multipole(0, 1.0), Multipole(1, 0.5j)),
                          kappa=KAPPA)

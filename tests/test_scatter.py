@@ -527,6 +527,29 @@ def test_gkl_gap_rows_built_once(monkeypatch):
         assert len(calls) == 4
 
 
+def test_gkl_free_table_is_one_hankel_call(monkeypatch):
+    # every off-diagonal G(x_i - x_j) comes from one batched hankel1 call,
+    # and matches G evaluated pair by pair
+    calls = []
+
+    def counting(m, x):
+        calls.append(np.shape(x))
+        return hankel1(m, x)
+
+    monkeypatch.setattr(scatter, "hankel1", counting)
+    report = gkl_reduce(free_grid(), LINE, (-3.0, 2.0), order=3, n_points=6)
+    assert calls == [(30,)]
+    pts = np.asarray(LINE.point) + np.multiply.outer(report.s_points,
+                                                     LINE.theta)
+    for i in range(6):
+        for j in range(6):
+            if i == j:
+                continue
+            g = free_kernel(pts[i], pts[j])
+            assert abs(report.recovered[i, j] + g) <= 1e-14 * abs(g)
+            assert abs(report.direct[i, j] + g) <= 1e-14 * abs(g)
+
+
 def test_gkl_validation():
     grid = gauss_grid(8)
     with pytest.raises(ValueError):

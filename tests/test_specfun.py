@@ -223,6 +223,33 @@ def test_asym_truncation_error_bound_at_50():
             assert err <= bound
 
 
+def test_asym_pq_rebuild_series_coefficients():
+    # a_k = i^k r_k with r_k real: the even coefficients are p_j, the odd
+    # ones i q_j, exactly
+    from imfield.specfun import _ASYM_ORDER, _ASYM_PQ
+
+    for m in (0, 1):
+        p, q = _ASYM_PQ[m]
+        assert len(p) == len(q) == (_ASYM_ORDER + 1) // 2
+        rebuilt = [None] * (_ASYM_ORDER + 1)
+        rebuilt[0::2] = [complex(c) for c in p]
+        rebuilt[1::2] = [1j * c for c in q]
+        assert rebuilt == list(hankel_asym_coeffs(m, _ASYM_ORDER).coeffs)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 5])
+def test_asym_branch_matches_scipy_sweep(m):
+    # H_0 and H_1 take one real-split series each; higher orders recur up
+    # from the pair
+    x = np.concatenate([[17.5 - 1e-9, 17.5, 17.5 + 1e-9],
+                        np.geomspace(17.5, 1e5, 3001)[1:]])
+    scale = np.abs(special.hankel1(m, x))
+    assert np.all(np.abs(hankel1(m, x) - special.hankel1(m, x))
+                  <= 1e-14 * scale)
+    assert np.all(np.abs(bessel_j(m, x) - special.jv(m, x)) <= 1e-14 * scale)
+    assert np.all(np.abs(bessel_y(m, x) - special.yv(m, x)) <= 1e-14 * scale)
+
+
 def test_asym_coeffs_validation():
     with pytest.raises(ValueError):
         hankel_asym_coeffs(-1, 3)
