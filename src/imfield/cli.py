@@ -62,6 +62,7 @@ from .propagate import (
     _stage,
     _stage_timings,
     _trusted_radius,
+    _window_half_length,
     propagate_halfplane,
     reconstruct_from_im,
 )
@@ -460,7 +461,6 @@ def _target_rows(field, targets, values):
 def _run_propagate(sc: Scenario) -> _RunResult:
     spec = _halfplane_toward(sc.line, (0.0, 0.0))
     _require_targets_in_halfplane(sc, spec)
-    lam = 2.0 * np.pi / sc.kappa
     p0 = np.asarray(sc.line.point)
     t = np.asarray(sc.line.theta)
 
@@ -468,7 +468,8 @@ def _run_propagate(sc: Scenario) -> _RunResult:
         s = np.asarray(s, dtype=float)
         return eval_field(sc.field, p0 + s[..., None] * t)
 
-    trace = LineTrace(S=200.0 * lam, panels_per_wavelength=10, func=on_line)
+    trace = LineTrace(S=_window_half_length(sc.line, sc.targets, sc.kappa),
+                      panels_per_wavelength=10, func=on_line)
     values = [_stage("propagate", propagate_halfplane, trace, spec, x, sc.kappa)
               for x in sc.targets]
     rows, header, metrics = _target_rows(sc.field, sc.targets, values)

@@ -58,8 +58,8 @@ from .fields import ImSamples, RayGeometry
 from .farfield import (extract_all, extract_sequence_extrapolated,
                        make_schedule, schedule_abscissas)
 from .karp import karp_from_farfield
-from .propagate import (HalfPlaneSpec, LineSpec, _trusted_radius,
-                        karp_line_trace)
+from .propagate import (HalfPlaneSpec, LineSpec, _trace_half_length,
+                        _trusted_radius, karp_line_trace)
 
 __all__ = [
     "PotentialGrid",
@@ -737,9 +737,9 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         xs = (np.arange(-m, m) + 0.5) * step
         gap_pts = origin + np.multiply.outer(xs, theta)
         im_gap = d_on(gap_pts).imag
-        for j, (kc, xi_gap) in enumerate(zip(karps, xi_gaps)):
+        for j, kc in enumerate(karps):
             trace = karp_line_trace(
-                kc, spec, S=xi_gap + 12.0 * lam + abs(s_q),
+                kc, spec, S=_trace_half_length(kc, line),
                 im_points=gap_pts, im_values=im_gap[:, j],
                 gap_center=tuple(center))
             d_recovered[:, j] = trace.func(s_pts)

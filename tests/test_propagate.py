@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import imfield.propagate as propagate_mod
 from imfield import (
@@ -26,7 +28,8 @@ from imfield import (
     reconstruct_from_im,
     schedule_abscissas,
 )
-from imfield.propagate import _gap_design, _interp_table, _schedule_for_order
+from imfield.propagate import (_gap_design, _interp_table, _schedule_for_order,
+                               _trusted_radius)
 
 KAPPA = 5.0
 LAM = 2.0 * np.pi / KAPPA
@@ -228,21 +231,56 @@ def test_propagate_point_source_reproduction():
 
 
 def test_propagate_converges_in_S_and_density():
+    # the window makes the truncation error fall super-algebraically in S
     ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
     fn = _line_trace_fn(ps)
     x = np.array([0.5, -2.0 - 2 * LAM])
     ref = complex(eval_field(ps, x))
     errs_S = []
-    for S in (50 * LAM, 200 * LAM):
+    for S in (25 * LAM, 50 * LAM):
         tr = LineTrace(S=S, panels_per_wavelength=10, func=fn)
         errs_S.append(abs(propagate_halfplane(tr, SPEC, x, KAPPA) - ref))
-    assert errs_S[1] < errs_S[0] / 4  # ~1/S^2 tail decay
+    assert errs_S[1] <= 1e-12 * abs(ref)
+    assert errs_S[1] < errs_S[0]
     errs_p = []
     for ppw in (1, 10):
-        tr = LineTrace(S=200 * LAM, panels_per_wavelength=ppw, func=fn)
+        tr = LineTrace(S=50 * LAM, panels_per_wavelength=ppw, func=fn)
         errs_p.append(abs(propagate_halfplane(tr, SPEC, x, KAPPA) - ref))
     assert errs_p[1] < errs_p[0] / 3
-    assert errs_p[1] <= 2e-5 * abs(ref)
+    assert errs_p[1] <= 1e-12 * abs(ref)
+
+
+def _random_mix(rng, kappa):
+    """One to three point sources and multipoles about the origin."""
+    terms = []
+    for _ in range(rng.integers(1, 4)):
+        if rng.random() < 0.5:
+            y0 = rng.uniform(-0.5, 0.5, 2)
+            terms.append(PointSource((y0[0], y0[1]),
+                                     complex(*rng.normal(0, 1, 2))))
+        else:
+            terms.append(Multipole(int(rng.integers(0, 4)),
+                                   complex(*rng.normal(0, 1, 2))))
+    return RadiationField(terms=tuple(terms), kappa=kappa)
+
+
+@settings(max_examples=25, deadline=None)
+@given(kappa=st.floats(3.0, 8.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_windowed_propagation_reproduces_random_fields(kappa, seed):
+    rng = np.random.default_rng(seed)
+    lam = 2.0 * np.pi / kappa
+    fld = _random_mix(rng, kappa)
+
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        return eval_field(fld, np.stack([s, np.full(s.shape, -2.0)], axis=-1))
+
+    tr = LineTrace(S=50 * lam, func=fn)
+    xs = np.stack([rng.uniform(-8.0, 8.0, 4),
+                   -2.0 - rng.uniform(0.3 * lam + 0.2, 6.0, 4)], axis=-1)
+    ref = eval_field(fld, xs)
+    got = np.array([propagate_halfplane(tr, SPEC, x, kappa) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 def test_propagate_linearity_in_trace():
@@ -270,34 +308,32 @@ def test_propagate_table_mode_matches_callable():
     assert abs(vt - vf) <= 1e-6 * abs(vf)
 
 
-def test_propagate_quad_estimate_bounds_refinement():
-    # doubling the density changes the result by less than the estimate
+def test_propagate_window_estimate_tracks_true_error():
+    # the window-difference estimate bounds the true error without being
+    # vacuous, at half-lengths where the window error is and is not at
+    # rounding level
     rng = np.random.default_rng(7)
     held = 0
-    n_tot = 20
-    for _ in range(n_tot):
-        terms = []
-        for _ in range(rng.integers(1, 4)):
-            if rng.random() < 0.5:
-                y0 = rng.uniform(-0.5, 0.5, 2)
-                terms.append(PointSource((y0[0], y0[1]),
-                                         complex(*rng.normal(0, 1, 2))))
-            else:
-                terms.append(Multipole(int(rng.integers(0, 4)),
-                                       complex(*rng.normal(0, 1, 2))))
-        fld = RadiationField(terms=tuple(terms), kappa=KAPPA)
+    n_tot = 0
+    for _ in range(20):
+        fld = _random_mix(rng, KAPPA)
         fn = _line_trace_fn(fld)
         x = np.array([rng.uniform(-8, 8), -2.0 - rng.uniform(0.5 * LAM, 8 * LAM)])
-        t10 = LineTrace(S=100 * LAM, panels_per_wavelength=10, func=fn)
-        t20 = LineTrace(S=100 * LAM, panels_per_wavelength=20, func=fn)
-        v10, info = propagate_halfplane(t10, SPEC, x, KAPPA, full_output=True)
-        v20 = propagate_halfplane(t20, SPEC, x, KAPPA)
-        held += abs(v20 - v10) <= info["quad_error_estimate"]
-    assert held >= 19  # spec asks >= 95%
+        ref = complex(eval_field(fld, x))
+        for S in (25 * LAM, 35 * LAM, 50 * LAM):
+            tr = LineTrace(S=S, panels_per_wavelength=10, func=fn)
+            v, info = propagate_halfplane(tr, SPEC, x, KAPPA, full_output=True)
+            err = abs(v - ref)
+            est = info["quad_error_estimate"]
+            assert info["tail_bound"] <= est
+            assert est <= 1e3 * max(err, 1e-15 * abs(ref))
+            held += err <= est
+            n_tot += 1
+    assert held >= 0.95 * n_tot
 
 
-def test_propagate_coarse_pass_only_for_full_output(monkeypatch):
-    # the coarse quadrature feeds only the full_output error estimate
+def test_propagate_estimate_only_for_full_output_or_tol(monkeypatch):
+    # the check-window dot product runs only when an estimate is asked for
     calls = []
     quad = propagate_mod._quadrature
 
@@ -310,10 +346,12 @@ def test_propagate_coarse_pass_only_for_full_output(monkeypatch):
     tr = LineTrace(S=50 * LAM, func=_line_trace_fn(ps))
     x = np.array([0.5, -4.0])
     v = propagate_halfplane(tr, SPEC, x, KAPPA)
-    assert calls == [10]
+    assert calls == [False]
     v_full, info = propagate_halfplane(tr, SPEC, x, KAPPA, full_output=True)
-    assert calls == [10, 10, 5]
+    assert calls == [False, True]
     assert v_full == v and info["quad_error_estimate"] > 0
+    assert propagate_halfplane(tr, SPEC, x, KAPPA, tol=1e-10) == v
+    assert calls == [False, True, True]
 
 
 def test_propagate_proximity_and_coverage_errors():
@@ -495,9 +533,31 @@ def test_reconstruct_evaluates_trace_once(monkeypatch):
 
     monkeypatch.setattr(LineTrace, "psi", counting)
     _, trace = _reconstruct_keeping_trace(monkeypatch, TRACE_TARGETS)
-    # 10 panels of 6 nodes per wavelength over [-S, S], S = 200 wavelengths
-    assert trace.S == 200 * LAM
-    assert sizes == [6 * 4000]
+    # S: the trusted radius plus 12 wavelengths past the Karp origin, which
+    # sits at the line point here, at least 50 wavelengths, and wide enough
+    # that the farthest target foot (10) sits 5 wavelengths inside the
+    # window's flat part |s| <= 0.3 S
+    sp, sm, sched = _scenario_samples(
+        RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA), 3)
+    kc = karp_from_farfield(extract_all(sp, sm, 3, sched))
+    assert trace.S == max(50 * LAM, _trusted_radius(kc) + 12 * LAM,
+                          (10.0 + 5 * LAM) / 0.3)
+    # 10 panels of 6 nodes per wavelength over [-S, S]
+    assert sizes == [6 * int(np.ceil(20 * trace.S / LAM))]
+
+
+def test_reconstruct_widens_trace_for_far_targets(monkeypatch):
+    # a target 40 wavelengths along the line lies outside the flat part of
+    # a 50-wavelength window; S grows so that it is reconstructed as well
+    # as the near ones
+    far = np.array([40 * LAM, -4.0])
+    got, trace = _reconstruct_keeping_trace(monkeypatch, [TRACE_TARGETS[0], far])
+    assert trace.S == pytest.approx((40 * LAM + 5 * LAM) / 0.3)
+    ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
+    ref = eval_field(ps, np.array([TRACE_TARGETS[0], far]))
+    assert abs(got[1] - ref[1]) <= 1e-2 * abs(ref[1])
+    _, info = propagate_halfplane(trace, SPEC, far, KAPPA, full_output=True)
+    assert info["tail_bound"] <= 1e-10 * abs(ref[1])
 
 
 def test_memoised_trace_matches_fresh_traces(monkeypatch):
