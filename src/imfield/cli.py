@@ -40,8 +40,10 @@ import numpy as np
 
 from .farfield import (
     ExtractionSchedule,
+    _lookup,
+    _pair_abscissas,
+    _raw_estimates,
     extract_all,
-    extract_f0_two_point,
     farfield_to_dict,
     schedule_abscissas,
 )
@@ -389,20 +391,13 @@ def _run_extract(sc: Scenario) -> _RunResult:
     t = np.asarray(sc.line.theta)
     pts = p0[None, :] + s_absc[:, None] * t[None, :]
     r_glob = np.hypot(pts[:, 0], pts[:, 1])
-    frame_vals = sp.values * np.sqrt(s_absc / r_glob)
+    frame = replace(sp, values=sp.values * np.sqrt(s_absc / r_glob))
+    s = _pair_abscissas(sched.radii, sched.tau)
+    raw = _raw_estimates(_lookup(frame, s), s, (), sc.kappa, sched.tau)
     f0 = ff.f_plus[0]
-    rows = []
-    devs = []
-    for r in sched.radii:
-        i = int(np.searchsorted(s_absc, r))
-        j = int(np.searchsorted(s_absc, r + sched.tau))
-        raw = extract_f0_two_point(frame_vals[i], frame_vals[j], r,
-                                   sched.tau, sc.kappa)
-        dev = abs(raw - f0)
-        rows.append((r, raw.real, raw.imag, dev))
-        devs.append(dev)
+    devs = np.abs(raw - f0)
+    rows = list(zip(sched.radii, raw.real, raw.imag, devs))
     metrics = {"f0_abs": float(abs(f0))}
-    devs = np.asarray(devs)
     ok = devs > 0
     if np.count_nonzero(ok) >= 2:
         slope = np.polyfit(np.log(sched.radii[ok]), np.log(devs[ok]), 1)[0]

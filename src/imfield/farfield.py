@@ -146,20 +146,91 @@ def weighted_im(psi_im: float, r: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _two_point_solve(b1: float, b2: float, r: float, tau: float, kappa: float):
-    """Solve the 2x2 system  sin(a) Re f + cos(a) Im f = b  at a(r), a(r+tau)."""
-    st = np.sin(kappa * tau)
-    if abs(st) < 1e-6:
+def _pair_abscissas(radii, tau) -> np.ndarray:
+    """(2, R) array of the radii and their pairs r + tau."""
+    radii = np.asarray(radii, dtype=float)
+    return np.stack([radii, radii + tau])
+
+
+def _lookup(samples: ImSamples, s) -> np.ndarray:
+    """Sample values at the abscissas s (any shape), one searchsorted for all.
+
+    Each s takes the nearest sample abscissa, which must match it within
+    1e-9 relative; the first miss in schedule order (r_0, r_0 + tau, r_1,
+    ...) is named in the error.
+    """
+    s = np.asarray(s, dtype=float)
+    a = samples.abscissas
+    if a.size == 0:
+        raise ValueError(f"required abscissa {float(s.T.flat[0])!r} "
+                         "not present in samples")
+    hi = np.minimum(np.searchsorted(a, s), a.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    idx = np.where(np.abs(a[hi] - s) < np.abs(a[lo] - s), hi, lo)
+    miss = np.abs(a[idx] - s) > 1e-9 * np.maximum(1.0, np.abs(s))
+    if np.any(miss):
+        raise ValueError(f"required abscissa {float(s.T[miss.T][0])!r} "
+                         "not present in samples")
+    return samples.values[idx]
+
+
+def _model_I(known, s, kappa: float, sin, cos):
+    """I-values at s of the truncated expansions known[..., 0..n].
+
+    sin and cos are taken of the reduced phase kappa s - pi/4. known has
+    shape (..., n + 1); the result has shape known.shape[:-1] + s.shape.
+    """
+    coeffs = known.reshape(known.shape[:-1] + (1,) * s.ndim + known.shape[-1:])
+    poly = np.zeros(known.shape[:-1] + s.shape, dtype=complex)
+    for j in range(known.shape[-1]):
+        poly += coeffs[..., j] * s ** (-float(j))
+    # Im(e^{i phase} poly)
+    return np.sqrt(2.0 / (np.pi * kappa)) * (cos * poly.imag + sin * poly.real)
+
+
+def _raw_estimates(data, s, known, kappa: float, tau: float) -> np.ndarray:
+    """Two-point estimates of f_{n+1} from f_0..f_n at every radius at once.
+
+    data holds the I-values at s = _pair_abscissas(radii, tau), shape
+    (..., 2, R); known holds f_0..f_n, shape (..., n + 1), with n + 1 = 0 for
+    f_0. The known part of the expansion is subtracted, the remainder
+    re-weighted by s^{n+1} (which behaves like a leading-order far field
+    with coefficient f_{n+1}), and the 2x2 systems
+    sin(a) Re f + cos(a) Im f = b at a(r), a(r + tau) are solved in closed
+    form; their determinant is -sin(kappa tau). Returns shape (..., R).
+    Warns once when float rounding amplified by r^{n+1} at the largest
+    radius can no longer be neglected.
+    """
+    if abs(np.sin(kappa * tau)) < 1e-6:
         raise ValueError("tau is too close to a resonance: |sin(kappa tau)| < 1e-6")
-    # reduce kappa*r mod 2 pi before subtracting pi/4: at r ~ 1e5 the naive
-    # phase loses ~1e-11 rad, which the recursion amplifies by r^{n+1}
-    alpha = _reduce_phase(kappa * r) - 0.25 * np.pi
-    beta = _reduce_phase(kappa * (r + tau)) - 0.25 * np.pi
-    mat = np.array([[np.sin(alpha), np.cos(alpha)],
-                    [np.sin(beta), np.cos(beta)]])
-    rhs = np.array([b1, b2])
-    re_f, im_f = np.linalg.solve(mat, rhs)
-    return complex(re_f, im_f)
+    known = np.asarray(known, dtype=complex)
+    # reduce kappa*s mod 2 pi before subtracting pi/4: at s ~ 1e5 the naive
+    # phase loses ~1e-11 rad, which the recursion amplifies by s^{n+1}
+    phase = _reduce_phase(kappa * s) - 0.25 * np.pi
+    sin, cos = np.sin(phase), np.cos(phase)
+    m = known.shape[-1]
+    if m:
+        unc = 2.22e-16 * np.maximum(1.0, np.max(np.abs(known), axis=-1))
+        if np.any(unc * np.max(s[0]) ** m > 0.1):
+            warnings.warn(
+                "coefficient uncertainty amplified by r^(n+1) exceeds 0.1; "
+                "reduce the radius or the order",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        data = s ** m * (data - _model_I(known, s, kappa, sin, cos))
+    b = np.sqrt(np.pi * kappa / 2.0) * data
+    det = sin[0] * cos[1] - cos[0] * sin[1]
+    re_f = (cos[1] * b[..., 0, :] - cos[0] * b[..., 1, :]) / det
+    im_f = (sin[0] * b[..., 1, :] - sin[1] * b[..., 0, :]) / det
+    return re_f + 1j * im_f
+
+
+def _check_pair(r: float, tau: float):
+    if r <= 0:
+        raise ValueError("r must be positive")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
 
 
 def extract_f0_two_point(I_x: float, I_y: float, r: float, tau: float,
@@ -169,32 +240,10 @@ def extract_f0_two_point(I_x: float, I_y: float, r: float, tau: float,
     I_x and I_y are the weighted imaginary parts at distances r and r + tau
     from the expansion origin.
     """
-    if r <= 0:
-        raise ValueError("r must be positive")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    scale = np.sqrt(np.pi * kappa / 2.0)
-    return _two_point_solve(scale * I_x, scale * I_y, r, tau, kappa)
-
-
-def _model_I(known, s, kappa: float):
-    """I-value of the truncated expansion with coefficients known[0..n] at s."""
-    s = np.asarray(s, dtype=float)
-    poly = np.zeros(s.shape, dtype=complex)
-    for j, f in enumerate(known):
-        poly += f * s ** (-float(j))
-    phase = _reduce_phase(kappa * s) - 0.25 * np.pi
-    return np.sqrt(2.0 / (np.pi * kappa)) * np.imag(
-        (np.cos(phase) + 1j * np.sin(phase)) * poly
-    )
-
-
-def _lookup(samples: ImSamples, s: float) -> float:
-    a = samples.abscissas
-    i = int(np.argmin(np.abs(a - s)))
-    if abs(a[i] - s) > 1e-9 * max(1.0, abs(s)):
-        raise ValueError(f"required abscissa {s!r} not present in samples")
-    return float(samples.values[i])
+    _check_pair(r, tau)
+    data = np.array([[I_x], [I_y]], dtype=float)
+    return complex(_raw_estimates(data, _pair_abscissas([r], tau), (),
+                                  kappa, tau)[0])
 
 
 def extract_next_coeff(samples: ImSamples, known, r: float, tau: float) -> complex:
@@ -206,26 +255,29 @@ def extract_next_coeff(samples: ImSamples, known, r: float, tau: float) -> compl
     Emits a RuntimeWarning when float rounding amplified by r^{n+1} can no
     longer be neglected.
     """
-    known = [complex(f) for f in known]
-    n = len(known) - 1
-    if n < 0:
+    known = np.array([complex(f) for f in known], dtype=complex)
+    if known.size == 0:
         raise ValueError("known must contain at least f_0")
-    kappa = samples.kappa
-    power = float(r) ** (n + 1)
-    unc = 2.22e-16 * max(1.0, max(abs(f) for f in known))
-    if unc * power > 0.1:
-        warnings.warn(
-            "coefficient uncertainty amplified by r^(n+1) exceeds 0.1; "
-            "reduce the radius or the order",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    vals = []
-    for s in (r, r + tau):
-        I_data = _lookup(samples, s)
-        I_model = float(_model_I(known, s, kappa))
-        vals.append(s ** (n + 1) * (I_data - I_model))
-    return extract_f0_two_point(vals[0], vals[1], r, tau, kappa)
+    _check_pair(r, tau)
+    s = _pair_abscissas([r], tau)
+    return complex(_raw_estimates(_lookup(samples, s), s, known,
+                                  samples.kappa, tau)[0])
+
+
+def _neville(t, tab, depth: int):
+    """Depth-level Neville entry of the last row on nodes t, extrapolated to 0.
+
+    tab has shape (len(t), ...): one tableau per trailing batch index.
+    """
+    tab = np.array(tab, dtype=complex)
+    shape = (-1,) + (1,) * (tab.ndim - 1)
+    # column j of the tableau, kept in place: tab[k] = P_{k-j..k}(0);
+    # increment form keeps constant sequences exactly constant
+    for j in range(1, depth + 1):
+        tk = t[j:].reshape(shape)
+        gap = (t[:-j] - t[j:]).reshape(shape)
+        tab[j:] = tab[j:] + tk * (tab[j:] - tab[j - 1:-1]) / gap
+    return tab[-1]
 
 
 def extract_sequence_extrapolated(estimates, depth: int) -> complex:
@@ -244,13 +296,7 @@ def extract_sequence_extrapolated(estimates, depth: int) -> complex:
     t = np.array([1.0 / r for r, _ in pts])
     if len(np.unique(t)) != len(t):
         raise ValueError("radii must be distinct")
-    tab = np.array([v for _, v in pts], dtype=complex)
-    # column j of the tableau, kept in place: tab[k] = P_{k-j..k}(0);
-    # increment form keeps constant sequences exactly constant
-    for j in range(1, depth + 1):
-        for k in range(len(pts) - 1, j - 1, -1):
-            tab[k] = tab[k] + t[k] * (tab[k] - tab[k - 1]) / (t[k - j] - t[k])
-    return complex(tab[-1])
+    return complex(_neville(t, [v for _, v in pts], depth))
 
 
 def _line_frame(samples_plus: ImSamples, samples_minus: ImSamples):
@@ -305,27 +351,22 @@ def _shifted_samples(samples: ImSamples, q, theta, sign: int) -> ImSamples:
                      kappa=samples.kappa, noise_sigma=samples.noise_sigma)
 
 
-def _extract_angle(samples: ImSamples, n: int,
-                   schedule: ExtractionSchedule) -> list:
-    """Run the full recursion at one angle on frame-consistent samples."""
-    kappa = samples.kappa
+def _extract_orders(data, n: int, schedule: ExtractionSchedule,
+                    kappa: float) -> np.ndarray:
+    """f_0..f_n from I-values data (..., 2, R) at the schedule pairs.
+
+    The induction runs once per order, each pass covering every radius and
+    every leading batch index (the rays); returns shape (..., n + 1).
+    """
     radii = schedule.radii
-    tau = schedule.tau
-    depth = schedule.extrapolation_depth
-    known = []
+    s = _pair_abscissas(radii, schedule.tau)
+    t = 1.0 / radii
+    known = np.zeros(data.shape[:-2] + (0,), dtype=complex)
     for j in range(n + 1):
-        ests = []
-        for r in radii:
-            if j == 0:
-                v = extract_f0_two_point(
-                    _lookup(samples, r), _lookup(samples, r + tau),
-                    r, tau, kappa,
-                )
-            else:
-                v = extract_next_coeff(samples, known, r, tau)
-            ests.append((r, v))
-        d = min(max(depth, n - j + 1), len(ests) - 1)
-        known.append(extract_sequence_extrapolated(ests, d))
+        ests = _raw_estimates(data, s, known, kappa, schedule.tau)
+        d = min(max(schedule.extrapolation_depth, n - j + 1), radii.size - 1)
+        f_j = _neville(t, np.moveaxis(ests, -1, 0), d)
+        known = np.concatenate([known, f_j[..., None]], axis=-1)
     return known
 
 
@@ -346,10 +387,12 @@ def extract_all(samples_plus: ImSamples, samples_minus: ImSamples, n: int,
     if abs(np.sin(kappa * schedule.tau)) < 0.5:
         raise ValueError("schedule tau violates |sin(kappa tau)| >= 0.5")
     q, theta, _, _ = _line_frame(samples_plus, samples_minus)
-    shifted_p = _shifted_samples(samples_plus, q, theta, +1)
-    shifted_m = _shifted_samples(samples_minus, q, theta, -1)
-    f_plus = _extract_angle(shifted_p, n, schedule)
-    f_minus = _extract_angle(shifted_m, n, schedule)
+    s = _pair_abscissas(schedule.radii, schedule.tau)
+    data = np.stack([
+        _lookup(_shifted_samples(samples_plus, q, theta, +1), s),
+        _lookup(_shifted_samples(samples_minus, q, theta, -1), s),
+    ])
+    f_plus, f_minus = _extract_orders(data, n, schedule, kappa)
     phi = float(np.arctan2(theta[1], theta[0]))
     return FarFieldCoeffs(kappa=kappa, phi=phi, f_plus=f_plus, f_minus=f_minus,
                           origin_shift=(float(q[0]), float(q[1])))

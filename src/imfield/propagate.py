@@ -106,6 +106,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 # error estimate.
 _WINDOW_C = 0.3
 _WINDOW_C_CHECK = 0.5
+# Once both windows sit at rounding level their difference under-reads the
+# error, so the estimate is floored at this fraction of the dot product's
+# worst-case rounding n eps sum|kern_i vals_i|. Measured errors against the
+# exact field (point source plus an m = 2 multipole, kappa 3-8, S = 100-800
+# wavelengths, n = 12k-96k nodes) reach 0.0078 of it; the floor is 4x that.
+_DOT_ROUNDING = 1.0 / 32.0
 # Karp line traces run at least this many wavelengths either way, which
 # puts the window error near rounding for targets near the line point.
 _MIN_TRACE_WAVELENGTHS = 50.0
@@ -260,7 +266,8 @@ def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, ppw,
     """Windowed trace integral at x, and with estimate its error estimate.
 
     The estimate is the change from the steeper check window on the same
-    nodes, one more dot product; otherwise it is None.
+    nodes, one more dot product, floored at the dot's own rounding;
+    otherwise it is None.
     """
     s, vals = trace._nodes(kappa, ppw)
     rel = np.asarray(x, dtype=float) - np.asarray(spec.line.point)
@@ -273,7 +280,9 @@ def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, ppw,
     if not estimate:
         return value, None
     _, check = trace._nodes(kappa, ppw, _WINDOW_C_CHECK)
-    return value, abs(value - 0.25j * np.dot(kern, check))
+    rounding = _DOT_ROUNDING * s.size * np.finfo(float).eps \
+        * 0.25 * np.sum(np.abs(kern * vals))
+    return value, max(abs(value - 0.25j * np.dot(kern, check)), rounding)
 
 
 def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
@@ -288,14 +297,16 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
     stay inside the flat part: about 1e-13 relative at S = 50 wavelengths
     for targets and sources within a few wavelengths of the line point.
     The error is estimated as the change when the window's flat part is
-    shrunk to |s| <= 0.5 S on the same nodes; that costs one more dot
-    product and runs only when tol is given (a coverage error is raised if
-    the estimate exceeds it) or full_output is set, which adds a dict with
-    the estimate as "tail_bound" and, floored at 1e-14 of the value, as
-    "quad_error_estimate". The windowed trace values at the nodes are
-    memoised on the trace per (kappa, panels per wavelength), and its
-    provider is taken as fixed, so calls for further targets evaluate only
-    the kernel: one hankel1 call, one complex multiply and one dot.
+    shrunk to |s| <= 0.5 S on the same nodes, floored at the rounding of
+    the dot product (a fixed fraction of n eps sum |kern_i vals_i| over the
+    n nodes); that costs one more dot product and runs only when tol is
+    given (a coverage error is raised if the estimate exceeds it) or
+    full_output is set, which adds a dict with the estimate as both
+    "tail_bound" and "quad_error_estimate". The windowed trace values at
+    the nodes are memoised on the trace per (kappa, panels per
+    wavelength), and its provider is taken as fixed, so calls for further
+    targets evaluate only the kernel: one hankel1 call, one complex
+    multiply and one dot.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -315,9 +326,7 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
             f"trace half-length S={trace.S:.3g} leaves window error estimate "
             f"{est:.3g} above the requested tolerance {tol:.3g}")
     if full_output:
-        floor = 1e-14 * max(abs(value), 1e-300)
-        return value, {"tail_bound": est,
-                       "quad_error_estimate": max(est, floor)}
+        return value, {"tail_bound": est, "quad_error_estimate": est}
     return value
 
 

@@ -5,17 +5,24 @@ asymptotics), hankel_asym_coeffs for single-multipole coefficients, and exact
 closed forms where available (monopole f_1 = -i/(8 kappa)).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from imfield import (
+    HalfPlaneSpec,
     ImSamples,
+    LineSpec,
     Multipole,
     PointSource,
+    PotentialGrid,
     RadiationField,
     RayGeometry,
     eval_field,
     farfield_oracle,
+    gkl_reduce,
+    reconstruct_from_im,
     sample_im_on_ray,
 )
 from imfield.farfield import (
@@ -32,6 +39,7 @@ from imfield.farfield import (
     schedule_abscissas,
     weighted_im,
 )
+from imfield.propagate import _schedule_for_order
 
 KAPPA = 5.0
 TAU = np.pi / (2.0 * KAPPA)
@@ -430,6 +438,116 @@ def test_slope_invariants():
             rr.append(sched.radii[k])
         slope_d = np.polyfit(np.log(rr), np.log(errs_d), 1)[0]
         assert slope_d <= -(depth + 1) + 0.3
+
+
+def _scalar_recursion(samples, n, sched):
+    """The induction one radius at a time through the public one-step calls."""
+    known = []
+    for j in range(n + 1):
+        ests = []
+        for r in sched.radii:
+            if j == 0:
+                pair = samples.values[np.searchsorted(samples.abscissas,
+                                                      [r, r + sched.tau])]
+                v = extract_f0_two_point(pair[0], pair[1], r, sched.tau,
+                                         samples.kappa)
+            else:
+                v = extract_next_coeff(samples, known, r, sched.tau)
+            ests.append((r, v))
+        d = min(max(sched.extrapolation_depth, n - j + 1), len(ests) - 1)
+        known.append(extract_sequence_extrapolated(ests, d))
+    return known
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_extract_all_matches_scalar_recursion(n):
+    # both rays start at the origin, so the frame shift leaves the samples
+    # unchanged and each ray's recursion sees the same data as extract_all
+    field = _mix_field()
+    sched = _schedule_for_order(KAPPA, max(n, 3))
+    absc = schedule_abscissas(sched)
+    sp = _samples_on_x(field, absc, +1)
+    sm = _samples_on_x(field, absc, -1)
+    out = extract_all(sp, sm, n, sched)
+    for got, samples in ((out.f_plus, sp), (out.f_minus, sm)):
+        want = _scalar_recursion(samples, n, sched)
+        scale = max(1.0, max(abs(f) for f in want))
+        for j in range(n + 1):
+            # the rounding r^j amplifies, as the RuntimeWarning bounds it
+            tol = 100.0 * 2.22e-16 * scale * sched.radii[-1] ** j
+            assert abs(got[j] - want[j]) <= tol
+
+
+def _zero_pair(sched):
+    absc = schedule_abscissas(sched)
+    return [ImSamples(ray=RayGeometry(origin=(0.0, 0.0), direction=(d, 0.0)),
+                      abscissas=absc, values=np.zeros(absc.size), kappa=KAPPA)
+            for d in (1.0, -1.0)]
+
+
+def test_extract_all_warns_once_per_crossing_step():
+    # top radius ~1e4: 2.22e-16 r^j passes 0.1 from j = 4 on, for the
+    # steps that compute f_4 and f_5, whatever the number of radii
+    sched = make_schedule(KAPPA, s0=1e4 / 2 ** 5, growth=2.0, count=6)
+    assert 2.22e-16 * sched.radii[-1] ** 3 < 0.1 < 2.22e-16 * sched.radii[-1] ** 4
+    zp, zm = _zero_pair(sched)
+    for n, expected in ((3, 0), (5, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            extract_all(zp, zm, n, sched)
+        hits = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(hits) == expected
+
+
+def test_extract_all_names_missing_abscissa():
+    sched = make_schedule(KAPPA, s0=100.0, count=4)
+    zp, zm = _zero_pair(sched)
+    missing = sched.radii[2] + sched.tau
+    keep = np.abs(zm.abscissas - missing) > 1e-6
+    holed = ImSamples(ray=zm.ray, abscissas=zm.abscissas[keep],
+                      values=zm.values[keep], kappa=KAPPA)
+    with pytest.raises(ValueError,
+                       match=rf"required abscissa {float(missing)!r} not present"):
+        extract_all(zp, holed, 2, sched)
+
+
+# Values of the same computations before the extraction was batched over
+# radii and rays; the batched two-point solves change only the last bits,
+# which the r^j weights amplify.
+FROZEN_RECON = [0.030652173027372304 + 0.03904812333559152j,
+                -0.0518239413998171 + 0.057873230985671445j,
+                0.033092007841475396 - 0.001686565226307799j]
+FROZEN_GKL = [[np.nan, -0.05654663033936316 - 0.01066371353480365j,
+               -0.03864293882578211 + 0.01541074081696819j],
+              [-0.05654675077995832 - 0.010663710288305216j, np.nan,
+               -0.05611556177165326 - 0.01062452170790015j],
+              [-0.03864293900389154 + 0.015410739175914855j,
+               -0.05611546204287373 - 0.01062452776466703j, np.nan]]
+
+
+def test_reconstruct_and_gkl_match_frozen_values():
+    lam = 2.0 * np.pi / KAPPA
+    field = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),
+                                  Multipole(2, 0.4 - 0.2j)), kappa=KAPPA)
+    sched = _schedule_for_order(KAPPA, 3)
+    absc = np.unique(np.concatenate([np.arange(lam / 24, 80.0, lam / 12),
+                                     schedule_abscissas(sched)]))
+    sp, sm = (sample_im_on_ray(field, RayGeometry(origin=(0.0, -2.0),
+                                                  direction=(d, 0.0)), absc)
+              for d in (1.0, -1.0))
+    line = LineSpec(point=(0.0, -2.0), theta=(1.0, 0.0))
+    spec = HalfPlaneSpec(line=line, normal=(0.0, 1.0))
+    targets = [np.array([0.5, -4.0]), np.array([3.0, -6.0]),
+               np.array([-2.0, -9.0])]
+    got = reconstruct_from_im(sp, sm, 3, spec, targets)
+    np.testing.assert_allclose(got, FROZEN_RECON, rtol=1e-6, atol=0)
+
+    xs = -0.5 + (np.arange(8) + 0.5) / 8
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    v = 4.0 * np.exp(-((gx - 0.05) ** 2 + (gy + 0.08) ** 2) / (2 * 0.16 ** 2))
+    grid = PotentialGrid(bbox=(-0.5, -0.5, 0.5, 0.5), n=8, v=v, kappa=4.0)
+    rep = gkl_reduce(grid, line, (-3.0, 3.0), order=3, n_points=3)
+    np.testing.assert_allclose(rep.recovered, FROZEN_GKL, rtol=1e-6, atol=0)
 
 
 # ---------------------------------------------------------------------------

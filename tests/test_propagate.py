@@ -26,6 +26,7 @@ from imfield import (
     karp_line_trace,
     propagate_halfplane,
     reconstruct_from_im,
+    sample_im_on_ray,
     schedule_abscissas,
 )
 from imfield.propagate import (_gap_design, _interp_table, _schedule_for_order,
@@ -332,6 +333,26 @@ def test_propagate_window_estimate_tracks_true_error():
     assert held >= 0.95 * n_tot
 
 
+@pytest.mark.parametrize("kappa", [3.0, 8.0])
+def test_propagate_window_estimate_floors_at_rounding(kappa):
+    # at S = 100 wavelengths both windows sit at rounding level and their
+    # difference alone reads far below the error; the dot product's own
+    # rounding floors the estimate, for full_output and for tol alike
+    lam = 2.0 * np.pi / kappa
+    fld = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),
+                                Multipole(2, 0.5 + 0.3j)), kappa=kappa)
+    tr = LineTrace(S=100 * lam, func=_line_trace_fn(fld))
+    for along in (25.0, 26.0, 27.0):
+        for depth in (0.5, 2.0):
+            x = np.array([along * lam, -2.0 - depth * lam])
+            v, info = propagate_halfplane(tr, SPEC, x, kappa, full_output=True)
+            err = abs(v - complex(eval_field(fld, x)))
+            assert info["tail_bound"] == info["quad_error_estimate"] >= err
+            with pytest.raises(ValueError, match="window error estimate"):
+                propagate_halfplane(tr, SPEC, x, kappa,
+                                    tol=0.5 * info["tail_bound"])
+
+
 def test_propagate_estimate_only_for_full_output_or_tol(monkeypatch):
     # the check-window dot product runs only when an estimate is asked for
     calls = []
@@ -580,6 +601,55 @@ def test_reconstruct_ray_relabeling_reciprocity():
     got2 = reconstruct_from_im(sm, sp, 3, flipped, targets)
     for a, b in zip(got2, got):
         assert abs(a - b) <= 1e-8 * abs(b)
+
+
+def _moved_reconstruction(field, order, move, targets):
+    """reconstruct_from_im after the linear isometry move acts on everything.
+
+    Returns the reconstruction at the moved targets.
+    """
+    terms = tuple(PointSource(tuple(move @ np.asarray(t.y0)), t.c)
+                  for t in field.terms)
+    moved = RadiationField(terms=terms, kappa=field.kappa)
+    p0, theta = move @ np.array([0.0, -2.0]), move @ np.array([1.0, 0.0])
+    spec = HalfPlaneSpec(line=LineSpec(point=tuple(p0), theta=tuple(theta)),
+                         normal=tuple(move @ np.array([0.0, 1.0])))
+    sched = _schedule_for_order(KAPPA, order)
+    dense = np.arange(LAM / 24, 80.0, LAM / 12)
+    absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
+    sp, sm = (sample_im_on_ray(moved, RayGeometry(origin=tuple(p0),
+                                                  direction=tuple(sgn * theta)),
+                               absc)
+              for sgn in (1.0, -1.0))
+    xs = [move @ x for x in targets]
+    return np.array(reconstruct_from_im(sp, sm, order, spec, xs))
+
+
+@settings(max_examples=8, deadline=None)
+@given(angle=st.floats(0.0, 2.0 * np.pi), reflect=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_reconstruct_rigid_motion_equivariance(angle, reflect, seed):
+    # rotating (or reflecting) field, line and targets about the origin
+    # moves the reconstruction with them. The samples of the two frames
+    # differ by rounding, which the extraction amplifies by r^j to the
+    # level of the reconstruction error itself, so the two can differ by
+    # more than the larger of their errors (1.9x at worst over 240
+    # measured cases) and either error can be the lucky small one; they
+    # agree far inside the 1e-2 advertised bound (9e-5 of the field at
+    # worst), while a frame-dependent step would move them by O(1)
+    rng = np.random.default_rng(seed)
+    terms = [PointSource(tuple(rng.uniform(-0.3, 0.3, 2)), 1.0),
+             PointSource(tuple(rng.uniform(-0.3, 0.3, 2)),
+                         complex(*rng.uniform(-0.3, 0.3, 2)))]
+    field = RadiationField(terms=tuple(terms), kappa=KAPPA)
+    targets = [np.array([rng.uniform(-4, 4), -2.0 - rng.uniform(0.5, 6.0)])
+               for _ in range(3)]
+    c, s = np.cos(angle), np.sin(angle)
+    move = (np.array([[c, s], [s, -c]]) if reflect
+            else np.array([[c, -s], [s, c]]))
+    base = _moved_reconstruction(field, 3, np.eye(2), targets)
+    got = _moved_reconstruction(field, 3, move, targets)
+    assert np.max(np.abs(got - base)) <= 1e-3 * np.max(np.abs(base))
 
 
 def test_reconstruct_validates_ray_geometry():
