@@ -28,35 +28,51 @@ Far-field links implemented here: for |x| large,
 
 where psi(., k) = e^{i k .} + psi_sc is the total plane-wave field with
 incident wavevector k, |k| = kappa, and A is the scattering amplitude.
-psi_plus_farfield inverts the first prefactor at several radii and
-extrapolates in 1/|x|. The amplitude is read off exactly instead: far
-from Omega each corrected weight tends to hx hy G(x - z_c), because the
-cell average of the harmonic log differs from its midpoint value only by
+Both limits are read off exactly, with no far point evaluated: far from
+Omega each corrected weight tends to hx hy G(x - z_c), because the cell
+average of the harmonic log differs from its midpoint value only by
 O(h^2/|x - z|^2) (O(h^4/|x - z|^4) on square cells). So for the discrete
 solution u the limit is the finite Fourier sum
 
     A(k, x_hat) = (1/4) sqrt(2/(pi kappa)) e^{i pi/4} hx hy
-                  sum_c e^{-i kappa x_hat . z_c} v_c u_c.
+                  sum_c e^{-i kappa x_hat . z_c} v_c u_c,
+
+and psi_plus_farfield is the plane wave plus the same sum for the
+resolvent's coefficients over the first prefactor.
+
+The volume term has two evaluators behind one method,
+VolumeField.correction. Weight rows (the corrected cell weights, one
+hankel1 call and four log primitives per cell and point) serve single
+points and points within twice the support radius rho_max of its centre
+c. The other points of a call use the exterior expansion of Graf's
+addition theorem (Abramowitz and Stegun 9.1.79), H_|m|(kappa |x - c|)
+e^{i m phi_x} times 2M + 1 multipole moments, M set once per grid for
+the nearest such points, at 2 rho_max. The moments are formed once per
+field from a source-independent J_|m| table of the cells, built on the
+solver core on first use. The expansion is the midpoint rule for G, so
+it keeps full accuracy at any distance, where the corner differences of
+the log primitive cancel as |x - z| / h grows.
 
 gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
 from Omega only, so its weighted imaginary part on the line's two rays
 feeds the far-field extraction / Karp / line-trace pipeline, and G is added
-back at the end.
+back at the end. One field with a column per source evaluates D on the line
+points, on each ray and on the gap lattice, one call per point set.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _reduce_phase, hankel1
+from .specfun import EULER_GAMMA, _j_orders, hankel1
 from .fields import ImSamples, RayGeometry
-from .farfield import (extract_all, extract_sequence_extrapolated,
-                       make_schedule, schedule_abscissas)
+from .farfield import extract_all, make_schedule, schedule_abscissas
 from .karp import karp_from_farfield
 from .propagate import (HalfPlaneSpec, LineSpec, _trace_half_length,
                         _trusted_radius, karp_line_trace)
@@ -383,13 +399,40 @@ def _gmres_cycle(matvec, r, scale, k):
 
 
 class _SolverCore:
-    """The interior operator of one grid, shared across source points."""
+    """The interior operator of one grid, shared across source points.
 
-    __slots__ = ("op", "centers")
+    It also holds the source-independent half of the exterior expansion
+    (VolumeField.correction), built on first use, never here: a core built
+    for a single solve never pays for it.
+    """
+
+    __slots__ = ("op", "centers", "_expansion")
 
     def __init__(self, grid: PotentialGrid):
         self.centers = grid.centers()
         self.op = green_operator_matrix(grid)
+        self._expansion = None
+
+    def expansion(self):
+        """(c, rho_max, table): the support centre c, the largest distance
+        rho_max from c to a cell center, and J_|m|(kappa rho_z) e^{-i m phi_z}
+        for m = -M..M (rows) over the cells (columns), in polar coordinates
+        about c. The table is None for a single cell (rho_max 0)."""
+        if self._expansion is None:
+            c = 0.5 * (self.centers.min(axis=0) + self.centers.max(axis=0))
+            rel = self.centers - c
+            rho = np.hypot(rel[:, 0], rel[:, 1])
+            rho_max = float(rho.max())
+            table = None
+            if rho_max > 0.0:
+                m_top = _expansion_order(self.op.kappa, rho_max)
+                orders = np.arange(-m_top, m_top + 1)
+                phi = np.arctan2(rel[:, 1], rel[:, 0])
+                jm = _j_orders(m_top, self.op.kappa * rho)
+                table = jm[np.abs(orders)] \
+                    * np.exp(-1j * np.multiply.outer(orders, phi))
+            self._expansion = (c, rho_max, table)
+        return self._expansion
 
     def solve(self, b):
         """u with (I - W diag v) u = b, for b of shape (N,) or (N, m).
@@ -423,6 +466,26 @@ def _core(grid: PotentialGrid) -> _SolverCore:
     return core
 
 
+def _expansion_order(kappa, rho_max):
+    """Order at which the exterior expansion is truncated, from the geometry.
+
+    The m-th term of Graf's sum is J_m(kappa rho_z) H_m(kappa r). Past
+    m = kappa rho_max the bound J_m(x) <= (x/2)^m / m! falls faster than
+    geometrically; past m = kappa r the product falls like (rho_max / r)^m,
+    at most 2^-m on the far points r >= 2 rho_max, so
+    kappa rho_max + log2(1 / eps) orders reach rounding level at every far
+    point even where kappa r is small. The order is the larger of the two
+    counts, plus a margin.
+    """
+    log_eps = math.log(np.finfo(float).eps)
+    x = kappa * rho_max
+    m_j = math.ceil(x)
+    while m_j * math.log(0.5 * x) - math.lgamma(m_j + 1) > log_eps:
+        m_j += 1
+    m_geo = math.ceil(x) + math.ceil(-log_eps / math.log(2.0))
+    return max(m_j, m_geo) + 3
+
+
 def _free_kernel(kappa, x):
     """G(x) = (i/4) H_0(kappa |x|) on points of shape (..., 2)."""
     pts = np.asarray(x, dtype=float)
@@ -437,33 +500,94 @@ class VolumeField:
 
     One evaluator serves the resolvent R(., y), whose incident term is
     -G(. - y), and the plane-wave total field psi(., k), whose incident term
-    is e^{i k .}. coeff holds v u on the cell centers; it is None for a zero
-    potential (built without any solve), and then the volume term vanishes
-    identically. correction(x) is the volume term alone; it is smooth
-    across x = y.
+    is e^{i k .}. coeff holds v u on the cell centers of core, one column
+    per field when it is 2-d (then only correction applies, and incident
+    may be None); it is None for a zero potential (built without any
+    solve), and then the volume term vanishes identically. correction(x) is
+    the volume term alone; it is smooth across x = y.
     """
 
-    __slots__ = ("kappa", "incident", "coeff", "centers", "cell_size")
+    __slots__ = ("kappa", "incident", "coeff", "core", "cell_size",
+                 "_moments")
 
-    def __init__(self, kappa, incident, coeff=None, centers=None,
+    def __init__(self, kappa, incident, coeff=None, core=None,
                  cell_size=None):
         self.kappa = float(kappa)
         self.incident = incident
         self.coeff = coeff
-        self.centers = centers
+        self.core = core
         self.cell_size = cell_size
+        self._moments = None
 
     def correction(self, x):
+        """The volume term at points x of shape (..., 2).
+
+        A single point (shape (2,)) and the points near the support are
+        summed over the corrected weight rows. Points outside the disk of
+        radius 2 rho_max about the support centre c (rho_max the largest
+        distance from c to a cell center) use the exterior expansion
+        (Abramowitz and Stegun 9.1.79),
+
+            (i/4) sum_{|m| <= M} H_|m|(kappa |x - c|) e^{i m phi_x} a_m,
+            a_m = hx hy sum_z J_|m|(kappa rho_z) e^{-i m phi_z} coeff_z,
+
+        the midpoint rule for G. It differs from the rows by their
+        log-integral correction, O(h^2 / |x - z|^2) (O(h^4 / |x - z|^4) on
+        square cells), and unlike them loses no digits far out. The a_m are
+        formed on the first call with a far point and kept for later calls.
+        """
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != 2:
             raise ValueError("x must have shape (..., 2)")
         if self.coeff is None:
             out = np.zeros(pts.shape[:-1], dtype=complex)
             return complex(out) if pts.ndim == 1 else out
-        hx, hy = self.cell_size
-        vals = _weight_rows(pts.reshape(-1, 2), self.centers, hx, hy,
-                            self.kappa, self.coeff)
-        return complex(vals[0]) if pts.ndim == 1 else vals.reshape(pts.shape[:-1])
+        flat = pts.reshape(-1, 2)
+        vals = np.empty((flat.shape[0],) + self.coeff.shape[1:], dtype=complex)
+        far = self._exterior(flat, vals) if pts.ndim > 1 else None
+        rows = slice(None) if far is None else ~far
+        if far is None or not far.all():
+            hx, hy = self.cell_size
+            vals[rows] = _weight_rows(flat[rows], self.core.centers, hx, hy,
+                                      self.kappa, self.coeff)
+        out = vals.reshape(pts.shape[:-1] + self.coeff.shape[1:])
+        return complex(out) if out.ndim == 0 else out
+
+    def _exterior(self, flat, vals):
+        """Fill vals at the points the exterior expansion serves; return
+        their mask, or None when it serves none of them."""
+        c, rho_max, table = self.core.expansion()
+        if table is None:  # a single cell: no disk to be outside of
+            return None
+        rel = flat - c
+        r = np.hypot(rel[:, 0], rel[:, 1])
+        far = r >= 2.0 * rho_max
+        if not far.any():
+            return None
+        if self._moments is None:
+            hx, hy = self.cell_size
+            self._moments = hx * hy * (table @ self.coeff)
+        m_top = (table.shape[0] - 1) // 2
+        orders = np.arange(-m_top, m_top + 1)
+        where = np.flatnonzero(far)
+        # chunk the points to bound the (points x orders) temporaries
+        chunk = max(1, 2 ** 18 // orders.size)
+        for lo in range(0, where.size, chunk):
+            sel = where[lo:lo + chunk]
+            z = self.kappa * r[sel]
+            # H_2..H_M upward from one H_0, H_1 pair: stable, as Y dominates
+            hm = np.empty((m_top + 1, sel.size), dtype=complex)
+            hm[0], hm[1] = hankel1(0, z), hankel1(1, z)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for m in range(2, m_top + 1):
+                    hm[m] = (2.0 * (m - 1) / z) * hm[m - 1] - hm[m - 2]
+            if not np.all(np.isfinite(hm)):  # tiny kappa r or huge M
+                return None
+            phi = np.arctan2(rel[sel, 1], rel[sel, 0])
+            terms = hm[np.abs(orders)].T \
+                * np.exp(1j * np.multiply.outer(phi, orders))
+            vals[sel] = 0.25j * (terms @ self._moments)
+        return far
 
     def __call__(self, x):
         pts = np.asarray(x, dtype=float)
@@ -481,7 +605,7 @@ class VolumeField:
         hx, hy = self.cell_size
         scale = 0.25 * np.sqrt(2.0 / (np.pi * self.kappa)) \
             * np.exp(0.25j * np.pi) * hx * hy
-        phase = np.exp(-1j * self.kappa * (xhat @ self.centers.T))
+        phase = np.exp(-1j * self.kappa * (xhat @ self.core.centers.T))
         return scale * (phase @ self.coeff)
 
 
@@ -512,7 +636,7 @@ def solve_lippmann_schwinger(grid: PotentialGrid, y) -> VolumeField:
         raise ValueError("y coincides with a cell center; offset it")
     rhs = -0.25j * hankel1(0, kappa * gap)
     coeff = grid.v_flat * core.solve(rhs)
-    return VolumeField(kappa, incident, coeff, core.centers, grid.cell_size)
+    return VolumeField(kappa, incident, coeff, core, grid.cell_size)
 
 
 def check_reciprocity(grid: PotentialGrid, x, y) -> float:
@@ -539,8 +663,7 @@ def plane_wave_solution(grid: PotentialGrid, k) -> VolumeField:
         return VolumeField(grid.kappa, incident)
     core = _core(grid)
     coeff = grid.v_flat * core.solve(np.exp(1j * (core.centers @ k)))
-    return VolumeField(grid.kappa, incident, coeff, core.centers,
-                       grid.cell_size)
+    return VolumeField(grid.kappa, incident, coeff, core, grid.cell_size)
 
 
 def _unit(vec, name):
@@ -553,32 +676,25 @@ def _unit(vec, name):
     return v / norm
 
 
-def psi_plus_farfield(grid: PotentialGrid, y, direction, radii) -> complex:
+def psi_plus_farfield(grid: PotentialGrid, y, direction) -> complex:
     """Total plane-wave field psi(y, k) for k = -kappa*direction, read off R.
 
     At large |x| the kernel behaves like
-    -(1/2) sqrt(1/(2 pi kappa |x|)) e^{i(kappa|x| + pi/4)} psi(y, -kappa x/|x|);
-    the prefactor is inverted at each radius (all >= 100 wavelengths) and the
-    estimates are extrapolated to 1/|x| -> 0. For a zero potential the result
-    reduces to the plane wave e^{i k y}.
+    -(1/2) sqrt(1/(2 pi kappa |x|)) e^{i(kappa|x| + pi/4)} psi(y, -kappa x/|x|),
+    and the exact limit is read off: the incident term -G(x - y) gives the
+    plane wave e^{i k y}, and the volume term gives its far field (the
+    Fourier sum of far_field) over -(1/2) sqrt(1/(2 pi kappa)) e^{i pi/4}.
+    For a zero potential the result is the plane wave alone.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise ValueError("y must be a point in the plane")
     xhat = _unit(direction, "direction")
-    r = np.unique(np.asarray(radii, dtype=float))
-    if r.size < 2:
-        raise ValueError("need at least two distinct radii")
-    lam = 2.0 * np.pi / grid.kappa
-    if np.min(r) < 100.0 * lam:
-        raise ValueError("radii must all be >= 100 wavelengths")
     field = solve_lippmann_schwinger(grid, y)
-    vals = field(np.multiply.outer(r, xhat))
-    phase = _reduce_phase(grid.kappa * r) + 0.25 * np.pi
-    pref = -0.5 * np.sqrt(1.0 / (2.0 * np.pi * grid.kappa * r)) \
-        * np.exp(1j * phase)
-    depth = min(3, r.size - 1)
-    return extract_sequence_extrapolated(list(zip(r, vals / pref)), depth)
+    pref = -0.5 * np.sqrt(1.0 / (2.0 * np.pi * grid.kappa)) \
+        * np.exp(0.25j * np.pi)
+    plane = np.exp(-1j * grid.kappa * (xhat @ y))
+    return complex(plane + field.far_field(xhat[None])[0] / pref)
 
 
 def scattering_amplitude(grid: PotentialGrid, k, directions):
@@ -707,18 +823,16 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     d_direct = np.zeros((n_points, n_points), dtype=complex)
     if not grid.is_free:  # else D vanishes identically
         core = _core(grid)
-        hx, hy = grid.cell_size
         gap = np.hypot(core.centers[:, None, 0] - lam_pts[None, :, 0],
                        core.centers[:, None, 1] - lam_pts[None, :, 1])
         rhs = -0.25j * hankel1(0, kappa * gap)
-        coeffs = grid.v_flat[:, None] * core.solve(rhs)
-
-        def d_on(points):
-            return _weight_rows(points, core.centers, hx, hy, kappa, coeffs)
-
-        d_direct = d_on(lam_pts)
-        d_plus = d_on(pts_plus)
-        d_minus = d_on(pts_minus)
+        # D(., y_j) is the volume term of R(., y_j), column j of one field
+        d_field = VolumeField(kappa, None,
+                              grid.v_flat[:, None] * core.solve(rhs), core,
+                              grid.cell_size)
+        d_direct = d_field.correction(lam_pts)
+        d_plus = d_field.correction(pts_plus)
+        d_minus = d_field.correction(pts_minus)
         karps = []
         for j in range(n_points):
             sp = ImSamples(ray=ray_plus, abscissas=sched_abs,
@@ -736,7 +850,7 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         m = int(np.ceil((max(xi_gaps) + lam) / step))
         xs = (np.arange(-m, m) + 0.5) * step
         gap_pts = origin + np.multiply.outer(xs, theta)
-        im_gap = d_on(gap_pts).imag
+        im_gap = d_field.correction(gap_pts).imag
         for j, kc in enumerate(karps):
             trace = karp_line_trace(
                 kc, spec, S=_trace_half_length(kc, line),

@@ -159,25 +159,28 @@ def _y01(x: np.ndarray, j0, j1, sums):
     return y0, y1
 
 
-def _miller(x: np.ndarray, n_top: int, m: int):
+def _miller(x: np.ndarray, n_top: int, m: int, every: bool = False):
     """J_m, Y_0 and Y_1 at each x by one normalized downward recurrence.
 
     Requires n_top to exceed max(x) and m by a safety margin (~40) so the
     seeded minimal solution dominates. Only the running values J_m, J_1,
     J_0 and the Neumann sums (normaliser included) are kept, all rescaled
     together whenever the recurrence rescales, so memory stays O(len(x)).
+    With every=True each order J_0..J_m is kept instead, and the first value
+    returned is that table, shape (m + 1, len(x)).
     """
     jp = np.zeros_like(x)  # J_{k+1}, unnormalized
     jc = np.full_like(x, 1e-30)  # J_k, unnormalized
     sums = np.zeros((3,) + x.shape)
     kept = {}
+    keep = range(m + 1) if every else (m, 1)
     # bounds on |J_k| and |J_{k+1}| over all x decide when to look for
     # entries to rescale; from n_top = 77 at x >= 0.25 (the middle branch
     # for orders up to 17) the bound stays below 1e153, so none ever are
     step, bound, prev = 2.0 / float(x.min()), 1e-30, 0.0
     for k in range(n_top, -1, -1):
         _add_neumann(sums, k, jc)
-        if k in (m, 1):
+        if k in keep:
             kept[k] = jc
         if k == 0:
             break
@@ -193,7 +196,40 @@ def _miller(x: np.ndarray, n_top: int, m: int):
     norm = sums[0]
     j1 = kept[1] / norm
     y0, y1 = _y01(x, jc / norm, j1, sums / norm)
+    if every:
+        return np.stack([kept[k] for k in range(m + 1)]) / norm, y0, y1
     return (jc if m == 0 else kept[m]) / norm, y0, y1
+
+
+def _j_orders(m: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_m at each x >= 0 of a flat array, shape (m + 1, len(x)).
+
+    The defining power series below _SERIES_SPLIT (its leading terms built
+    by a running product, so they underflow to zero instead of overflowing
+    for large m), and one downward recurrence pass of _miller keeping every
+    order elsewhere, its top n_top >= m + 60 above max(x) as well.
+    """
+    out = np.empty((m + 1,) + x.shape)
+    small = x < _SERIES_SPLIT
+    if small.any():
+        half = 0.5 * x[small]
+        orders = np.arange(1, m + 1)[:, None]
+        term = np.cumprod(np.vstack([np.ones_like(half),
+                                     half / orders]), axis=0)
+        total = term.copy()
+        hsq = half * half
+        for k in range(1, 24):
+            term = term * (-hsq) / (k * (np.arange(m + 1)[:, None] + k))
+            total += term
+            if np.max(np.abs(term)) < 1e-19 * max(np.max(np.abs(total)),
+                                                  1e-300):
+                break
+        out[:, small] = total
+    if not small.all():
+        xs = x[~small]
+        n_top = max(m, int(np.ceil(xs.max()))) + 60
+        out[:, ~small] = _miller(xs, n_top, max(m, 1), every=True)[0][:m + 1]
+    return out
 
 
 def _horner(coeffs, v):

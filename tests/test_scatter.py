@@ -309,9 +309,8 @@ def test_plane_wave_free_and_validation():
 
 def test_psi_plus_farfield_free_plane_wave():
     direction = np.array([np.cos(0.4), np.sin(0.4)])
-    radii = 100.0 * LAM * 2.0 ** np.arange(4)
     y = (0.3, 0.2)
-    got = psi_plus_farfield(free_grid(), y, direction, radii)
+    got = psi_plus_farfield(free_grid(), y, direction)
     want = np.exp(1j * (-KAPPA * direction) @ np.asarray(y))
     assert abs(got - want) <= 1e-9
 
@@ -319,20 +318,19 @@ def test_psi_plus_farfield_free_plane_wave():
 def test_psi_plus_farfield_matches_plane_wave_solve():
     grid = gauss_grid(24, amp=0.5)
     direction = np.array([np.cos(0.4), np.sin(0.4)])
-    radii = 100.0 * LAM * 2.0 ** np.arange(4)
     y = np.array([0.3, 0.2])
-    got = psi_plus_farfield(grid, y, direction, radii)
+    got = psi_plus_farfield(grid, y, direction)
     want = plane_wave_solution(grid, -KAPPA * direction)(y)
     assert abs(got - want) <= 1e-3 * abs(want)
 
 
 def test_psi_plus_farfield_residual_slope():
-    # raw per-radius estimates approach the extrapolated value like 1/r
+    # raw per-radius estimates approach the exact limit like 1/r
     grid = gauss_grid(24, amp=0.5)
     direction = np.array([np.cos(0.4), np.sin(0.4)])
     radii = 100.0 * LAM * 2.0 ** np.arange(4)
     y = np.array([0.3, 0.2])
-    final = psi_plus_farfield(grid, y, direction, radii)
+    final = psi_plus_farfield(grid, y, direction)
     field = solve_lippmann_schwinger(grid, y)
     resid = []
     for r in radii:
@@ -343,12 +341,12 @@ def test_psi_plus_farfield_residual_slope():
     assert slope <= -0.9
 
 
-def test_farfield_radii_validation():
+def test_psi_plus_farfield_validation():
     grid = free_grid()
     with pytest.raises(ValueError):
-        psi_plus_farfield(grid, (0.0, 0.0), (1.0, 0.0), [50.0 * LAM, 200.0 * LAM])
+        psi_plus_farfield(grid, (0.0, 0.0), (0.0, 0.0))
     with pytest.raises(ValueError):
-        psi_plus_farfield(grid, (0.0, 0.0), (1.0, 0.0), [400.0 * LAM])
+        psi_plus_farfield(grid, (0.0, 0.0, 1.0), (1.0, 0.0))
 
 
 def test_amplitude_free_zero():
@@ -470,6 +468,99 @@ def test_amplitude_born_fourier():
     assert 10.0 <= ratio <= 24.0
 
 
+def _expansion_case(seed, kappa, n, r_lo_frac, cols=2, count=160,
+                    top=None):
+    """A random potential's core, complex coefficient columns and points
+    at radii r in [r_lo, 2 r_lo] about the support centre, where r_lo runs
+    log-uniformly from 2 rho_max (frac 0) to top (frac 1), by default 2000
+    wavelengths."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grid = PotentialGrid(bbox=(-0.3, 0.2, 0.8, 1.3), n=n, v=v, kappa=kappa)
+    core = _SolverCore(grid)
+    c, rho_max, _ = core.expansion()
+    lo = 2.0 * rho_max * (1.0 + 1e-12)
+    hi = 2000.0 * 2.0 * np.pi / kappa if top is None else top * rho_max
+    r_lo = lo * (hi / lo) ** r_lo_frac
+    r = r_lo * (1.0 + rng.random(count))
+    phi = rng.uniform(0.0, 2.0 * np.pi, count)
+    pts = c + r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    coeff = rng.standard_normal((n * n, cols)) \
+        + 1j * rng.standard_normal((n * n, cols))
+    return grid, core, coeff, pts, r
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.floats(0.25, 16.0),
+       n=st.sampled_from([8, 16, 32]), r_lo_frac=st.floats(0.0, 1.0))
+def test_exterior_expansion_matches_midpoint_sum(seed, kappa, n, r_lo_frac):
+    # the expansion is the midpoint sum hx hy G(x - z) coeff to rounding;
+    # both sums carry the phase rounding kappa r eps of their distances
+    grid, core, coeff, pts, r = _expansion_case(seed, kappa, n, r_lo_frac)
+    hx, hy = grid.cell_size
+    field = scatter.VolumeField(kappa, None, coeff, core, grid.cell_size)
+    got = field.correction(pts)
+    assert field._moments is not None  # the call took the expansion
+    dist = np.hypot(pts[:, None, 0] - core.centers[None, :, 0],
+                    pts[:, None, 1] - core.centers[None, :, 1])
+    want = (hx * hy * 0.25j * hankel1(0, kappa * dist)) @ coeff
+    tol = 1e-12 + 8.0 * np.finfo(float).eps * kappa * r.max()
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+    # a single point keeps the weight rows exactly, moments held or not
+    one = scatter.VolumeField(kappa, None, coeff[:, 0], core, grid.cell_size)
+    one.correction(pts)
+    assert one._moments is not None
+    row = _weight_rows(pts[:1], core.centers, hx, hy, kappa, coeff[:, 0])
+    assert one.correction(pts[0]) == row[0]
+    # two far points are a call like any other: the expansion serves them
+    two = scatter.VolumeField(kappa, None, coeff, core, grid.cell_size)
+    assert np.max(np.abs(two.correction(pts[:2]) - want[:2])) \
+        <= tol * np.max(np.abs(want))
+    assert two._moments is not None
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.floats(0.25, 16.0),
+       n=st.sampled_from([8, 16, 32]), r_lo_frac=st.floats(0.0, 1.0))
+def test_exterior_expansion_matches_weight_rows(seed, kappa, n, r_lo_frac):
+    # out to 10 rho_max the rows and the expansion differ by the rows' log
+    # correction, cell average minus midpoint of ln|x - z|: by Taylor's
+    # theorem at most |hx^2 - hy^2| / (24 r^2) + h^4 / (60 r^4), as
+    # |d^2 ln| <= 1/r^2 and |d^4 ln| <= 6/r^4 (the first term vanishes on
+    # square cells)
+    grid, core, coeff, pts, _ = _expansion_case(seed, kappa, n, r_lo_frac,
+                                                cols=1, top=5.0)
+    coeff = coeff[:, 0]
+    hx, hy = grid.cell_size
+    field = scatter.VolumeField(kappa, None, coeff, core, grid.cell_size)
+    got = field.correction(pts)
+    assert field._moments is not None  # the call took the expansion
+    rows = _weight_rows(pts, core.centers, hx, hy, kappa, coeff)
+    dist = np.hypot(pts[:, None, 0] - core.centers[None, :, 0],
+                    pts[:, None, 1] - core.centers[None, :, 1])
+    h = max(hx, hy)
+    cell = abs(hx * hx - hy * hy) / (24.0 * dist ** 2) \
+        + h ** 4 / (60.0 * dist ** 4)
+    bound = hx * hy / (2.0 * np.pi) * cell @ np.abs(coeff)
+    scale = np.max(np.abs(rows))
+    assert np.all(np.abs(got - rows) <= 2.0 * bound + 1e-12 * scale)
+    if n == 32:
+        assert np.max(np.abs(got - rows)) <= 1e-7 * scale
+
+
+def test_exterior_expansion_falls_back_to_rows_when_not_finite():
+    # at kappa 1e-6 the H_m of the high orders overflow just outside
+    # 2 rho_max; the call then keeps the weight rows for every point
+    grid, core, coeff, pts, _ = _expansion_case(7, 1e-6, 8, 0.0, cols=1)
+    hx, hy = grid.cell_size
+    field = scatter.VolumeField(1e-6, None, coeff[:, 0], core,
+                                grid.cell_size)
+    got = field.correction(pts)
+    want = _weight_rows(pts, core.centers, hx, hy, 1e-6, coeff[:, 0])
+    assert field._moments is not None  # formed before the H_m overflow
+    assert np.array_equal(got, want)
+
+
 LINE = LineSpec(point=(0.0, -2.0), theta=(1.0, 0.0))
 
 
@@ -508,23 +599,26 @@ def test_gkl_complex_v_tilted_line():
 
 def test_gkl_gap_rows_built_once(monkeypatch):
     # later sources on this line need a wider Karp gap than earlier ones;
-    # the weight rows are still built once per point set: the two rays,
-    # the line points and one gap lattice covering every source
+    # the volume term is still evaluated once per point set, for every
+    # source at once: the line points, the two rays and one gap lattice
+    # covering every source
     grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
     solve_lippmann_schwinger(grid, (0.0, -2.0))  # factor the core up front
     calls = []
+    real = scatter.VolumeField.correction
 
-    def counting(*args):
-        calls.append(len(args[0]))
-        return _weight_rows(*args)
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return real(self, x)
 
-    monkeypatch.setattr(scatter, "_weight_rows", counting)
+    monkeypatch.setattr(scatter.VolumeField, "correction", counting)
     for n_points in (3, 5):
         calls.clear()
         report = gkl_reduce(grid, LINE, (-1.0, 4.0), order=3,
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
         assert len(calls) == 4
+        assert calls[0] == (n_points, 2) and calls[1] == calls[2]
 
 
 def test_gkl_free_table_is_one_hankel_call(monkeypatch):

@@ -329,3 +329,22 @@ def test_miller_branch_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak <= 20e6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m_top=st.integers(1, 60))
+def test_every_order_table_matches_bessel_j(seed, m_top):
+    # the order table of the exterior expansion (one downward pass keeping
+    # every order, the power series below 0.25) against bessel_j, whose
+    # three branches split x at 0.25 and 17.5
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], rng.uniform(0.0, 0.25, 20),
+                        rng.uniform(0.25, 17.5, 20),
+                        rng.uniform(17.5, 60.0, 20)])
+    from imfield.specfun import _j_orders
+
+    table = _j_orders(m_top, x)
+    assert table.shape == (m_top + 1, x.size)
+    for m in range(m_top + 1):
+        want = bessel_j(m, x)
+        assert np.all(np.abs(table[m] - want) <= 5e-15 + 1e-12 * np.abs(want))
