@@ -441,8 +441,9 @@ def _target_rows(field, targets, values):
     rows = []
     max_abs = 0.0
     max_rel = 0.0
-    for x, got in zip(targets, values):
-        ref = complex(eval_field(field, np.asarray(x)))
+    refs = eval_field(field, targets)  # one call for every target
+    for x, got, ref in zip(targets, values, refs):
+        ref = complex(ref)
         err = abs(complex(got) - ref)
         rows.append((x[0], x[1], complex(got).real, complex(got).imag,
                      ref.real, ref.imag, err))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .farfield import FarFieldCoeffs
-from .specfun import hankel1, hankel_asym_coeffs
+from .specfun import _hankel01, hankel_asym_coeffs
 
 __all__ = [
     "KarpCoeffs",
@@ -160,7 +160,8 @@ def eval_karp(kc: KarpCoeffs, r, side=+1):
     for j in range(kc.order, -1, -1):
         sum_f = sum_f * u + F[j]
         sum_g = sum_g * u + G[j]
-    out = hankel1(0, z) * sum_f + hankel1(1, z) * sum_g
+    h0, h1 = _hankel01(z)
+    out = h0 * sum_f + h1 * sum_g
     return complex(out) if out.ndim == 0 else out
 
 

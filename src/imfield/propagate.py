@@ -42,7 +42,7 @@ import numpy as np
 from .farfield import ExtractionSchedule, make_schedule, extract_all
 from .fields import ImSamples
 from .karp import KarpCoeffs, eval_karp, karp_from_farfield
-from .specfun import _upward, hankel1
+from .specfun import _hankel01, _upward, hankel1
 
 __all__ = [
     "LineSpec",
@@ -350,7 +350,7 @@ def _gap_design(points, center, kappa, modes):
     dy = pts[..., 1] - center[1]
     r = np.hypot(dx, dy)
     z = kappa * r
-    h0, h1 = hankel1(0, z), hankel1(1, z)
+    h0, h1 = _hankel01(z)
     h = [h0, h1] + [_upward(h0, h1, m, z) for m in range(2, modes + 1)]
     # e^(i m phi) as powers of e^(i phi) = (dx + i dy) / r
     e1 = (dx + 1j * dy) / r
@@ -364,21 +364,17 @@ def _gap_design(points, center, kappa, modes):
     return cols
 
 
-def _gap_completion(karp_vals, line_point, im_points, im_values, center,
-                    kappa, modes, xi_gap, lam):
+def _gap_completion(Af, bf, Ag, im_values):
     """Multipole completion of the trace inside the Karp gap.
 
     Builds a real-linear least-squares system for (Re c, Im c) of the
     multipole coefficients from complex-valued rows on the Karp flank bands
-    [xi_gap, xi_gap + 10 lam] of both sides plus imaginary-part-only rows at
-    the measured points inside the gap, and solves it with a
-    column-normalized truncated SVD. Returns (c, relative fit residual).
+    [xi_gap, xi_gap + 10 lam] of both sides (design Af, Karp values bf)
+    plus imaginary-part-only rows at the measured points inside the gap
+    (design Ag), and solves it with a column-normalized truncated SVD.
+    Returns (c, relative fit residual).
     """
-    band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
-    xi_fit = np.concatenate([-band[::-1], band])
-    Af = _gap_design(line_point(xi_fit), center, kappa, modes)
-    bf = karp_vals(xi_fit)
-    Ag = _gap_design(im_points, center, kappa, modes)
+    modes = (Af.shape[1] - 1) // 2
     A = np.vstack([
         np.hstack([Af.real, -Af.imag]),
         np.hstack([Af.imag, Af.real]),
@@ -465,34 +461,62 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     overfit the flanks.
     A RuntimeError reports an inconsistent completion (fit residual > 5%).
     """
-    kappa = kc.kappa
+    if im_values is not None:
+        im_values = np.expand_dims(np.asarray(im_values, dtype=float), -1)
+    psi = _karp_line_traces([kc], spec, [S], im_points, im_values, gap_center)
+    return LineTrace(S=S, func=lambda s: psi(s)[..., 0])
+
+
+def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
+                      im_values=None, gap_center=None):
+    """Line traces of several Karp series of one frame, one column each.
+
+    The series must share kappa, phi, origin_shift and order (the Karp
+    conversions of one ray pair, one per source); S holds each trace's
+    half-length and im_values (N x len(kcs)) one column of imaginary parts
+    per series at the shared im_points. Each series gets the checks and the
+    gap completion of karp_line_trace, its one-series case, in series
+    order. The multipole design of each shared point set (the measured
+    points in any gap, the union of the flank bands, and the evaluation
+    points in any gap) is built once, and each series takes its own rows,
+    which are exactly the rows a design of its points alone would hold.
+    Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
+    """
+    kc0 = kcs[0]
+    frame = (kc0.kappa, kc0.phi, kc0.origin_shift, kc0.order)
+    if any((kc.kappa, kc.phi, kc.origin_shift, kc.order) != frame
+           for kc in kcs):
+        raise ValueError("the Karp series must share kappa, phi, "
+                         "origin_shift and order")
+    kappa = kc0.kappa
     lam = 2.0 * np.pi / kappa
-    q = np.asarray(kc.origin_shift)
+    q = np.asarray(kc0.origin_shift)
     p0 = np.asarray(spec.line.point)
     t = np.asarray(spec.line.theta)
     off = q - p0
     if abs(off[0] * t[1] - off[1] * t[0]) > 1e-9 * max(1.0, float(np.hypot(*off))):
         raise ValueError("Karp origin_shift does not lie on spec.line")
     s_q = float(off @ t)  # line abscissa of q
-    theta_k = np.array([np.cos(kc.phi), np.sin(kc.phi)])
+    theta_k = np.array([np.cos(kc0.phi), np.sin(kc0.phi)])
     # orientation of the Karp angle along the line parameterization
     sign = 1.0 if float(theta_k @ t) > 0 else -1.0
 
-    F = np.asarray(kc.F)
-    G = np.asarray(kc.G)
-    if not (np.any(F) or np.any(G)):
-        return LineTrace(
-            S=S, func=lambda s: np.zeros(np.shape(s), dtype=complex))
-    xi_gap = _trusted_radius(kc)
-    if xi_gap + 10.0 * lam > S - abs(s_q):
-        raise RuntimeError(
-            f"Karp series is trusted only beyond {xi_gap:.3g} from its "
-            f"origin, too far out for trace half-length S={S:.3g}")
+    # trusted radius of each series with terms; a zero series has no gap
+    # and a zero trace
+    xi_gaps = {}
+    for j, (kc, S_j) in enumerate(zip(kcs, S)):
+        if not (np.any(kc.F) or np.any(kc.G)):
+            continue
+        xi_gaps[j] = _trusted_radius(kc)
+        if xi_gaps[j] + 10.0 * lam > S_j - abs(s_q):
+            raise RuntimeError(
+                f"Karp series is trusted only beyond {xi_gaps[j]:.3g} from "
+                f"its origin, too far out for trace half-length S={S_j:.3g}")
 
     def line_point(xi):
         return q + np.multiply.outer(xi, theta_k)
 
-    def karp_vals(xi):
+    def karp_vals(kc, xi):
         out = np.empty(xi.shape, dtype=complex)
         pos = xi > 0
         if np.any(pos):
@@ -501,55 +525,78 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
             out[~pos] = eval_karp(kc, -xi[~pos], "-")
         return out
 
-    if im_points is None or im_values is None:
-        raise ValueError(
-            "the Karp gap needs imaginary-part data: pass im_points and "
-            "im_values covering |s - s_q| <= xi_gap on the line")
-    pts = np.asarray(im_points, dtype=float)
-    vals = np.asarray(im_values, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or vals.shape != (pts.shape[0],):
-        raise ValueError("im_points must be (n, 2) with matching im_values")
-    s_pts = (pts - p0) @ t
-    stray = pts - (p0 + np.multiply.outer(s_pts, t))
-    if np.max(np.hypot(stray[:, 0], stray[:, 1])) > 1e-9:
-        raise ValueError("im_points must lie on spec.line")
-    xi_pts = sign * (s_pts - s_q)
-    inside = np.abs(xi_pts) <= xi_gap
-    xs = np.sort(xi_pts[inside])
-    step = lam / 10.0 + 1e-9
-    if (xs.size < 2 or xs[0] > -xi_gap + step or xs[-1] < xi_gap - step
-            or np.max(np.diff(xs)) > step):
-        raise ValueError(
-            f"imaginary-part data must cover |s - s_q| <= {xi_gap:.3g} "
-            f"at >= 10 samples per wavelength")
-    if gap_center is None:
-        gap_center = (0.0, 0.0)
-    gap_center = (float(gap_center[0]), float(gap_center[1]))
-    if abs(spec.signed_offset(gap_center)) <= 0.1 * lam:
-        raise ValueError("gap_center sits on the line, where the multipole "
-                         "basis is singular; pass a center off the line")
-    gap_modes = kc.order + 2
-    c, resid = _gap_completion(karp_vals, line_point,
-                               pts[inside], vals[inside], gap_center,
-                               kappa, gap_modes, xi_gap, lam)
-    if resid > 0.05:
-        raise RuntimeError(
-            f"gap completion is inconsistent with the Karp flanks "
-            f"(relative fit residual {resid:.3g})")
+    gap_modes = kc0.order + 2
+    coeffs = {}
+    if xi_gaps:
+        if im_points is None or im_values is None:
+            raise ValueError(
+                "the Karp gap needs imaginary-part data: pass im_points and "
+                "im_values covering |s - s_q| <= xi_gap on the line")
+        pts = np.asarray(im_points, dtype=float)
+        vals = np.asarray(im_values, dtype=float)
+        if (pts.ndim != 2 or pts.shape[1] != 2
+                or vals.shape != (pts.shape[0], len(kcs))):
+            raise ValueError(
+                "im_points must be (n, 2) with matching im_values")
+        s_pts = (pts - p0) @ t
+        stray = pts - (p0 + np.multiply.outer(s_pts, t))
+        if np.max(np.hypot(stray[:, 0], stray[:, 1])) > 1e-9:
+            raise ValueError("im_points must lie on spec.line")
+        xi_pts = sign * (s_pts - s_q)
+        inside = {}
+        for j, xi_gap in xi_gaps.items():
+            inside[j] = np.abs(xi_pts) <= xi_gap
+            xs = np.sort(xi_pts[inside[j]])
+            step = lam / 10.0 + 1e-9
+            if (xs.size < 2 or xs[0] > -xi_gap + step
+                    or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
+                raise ValueError(
+                    f"imaginary-part data must cover |s - s_q| <= "
+                    f"{xi_gap:.3g} at >= 10 samples per wavelength")
+        if gap_center is None:
+            gap_center = (0.0, 0.0)
+        gap_center = (float(gap_center[0]), float(gap_center[1]))
+        if abs(spec.signed_offset(gap_center)) <= 0.1 * lam:
+            raise ValueError("gap_center sits on the line, where the "
+                             "multipole basis is singular; pass a center "
+                             "off the line")
+        # the gaps are nested: the widest holds every series' points
+        near = np.abs(xi_pts) <= max(xi_gaps.values())
+        Ag = _gap_design(pts[near], gap_center, kappa, gap_modes)
+        xi_fit = {}
+        for j, xi_gap in xi_gaps.items():
+            band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
+            xi_fit[j] = np.concatenate([-band[::-1], band])
+        Af = _gap_design(line_point(np.concatenate(list(xi_fit.values()))),
+                         gap_center, kappa, gap_modes)
+        for j, Af_j in zip(xi_gaps, np.split(Af, len(xi_gaps))):
+            coeffs[j], resid = _gap_completion(
+                Af_j, karp_vals(kcs[j], xi_fit[j]),
+                Ag[inside[j][near]], vals[inside[j], j])
+            if resid > 0.05:
+                raise RuntimeError(
+                    f"gap completion is inconsistent with the Karp flanks "
+                    f"(relative fit residual {resid:.3g})")
 
     def psi(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         xi = sign * (s - s_q)  # Karp-frame coordinate along theta_k
-        out = np.empty(s.shape, dtype=complex)
-        gap = np.abs(xi) < xi_gap
-        if np.any(~gap):
-            out[~gap] = karp_vals(xi[~gap])
-        if np.any(gap):
-            out[gap] = _gap_design(line_point(xi[gap]), gap_center,
-                                   kappa, gap_modes) @ c
+        out = np.zeros(s.shape + (len(kcs),), dtype=complex)
+        if not xi_gaps:
+            return out
+        in_any = np.abs(xi) < max(xi_gaps.values())
+        if np.any(in_any):
+            design = _gap_design(line_point(xi[in_any]), gap_center,
+                                 kappa, gap_modes)
+        for j, xi_gap in xi_gaps.items():
+            gap = np.abs(xi) < xi_gap
+            if np.any(~gap):
+                out[~gap, j] = karp_vals(kcs[j], xi[~gap])
+            if np.any(gap):
+                out[gap, j] = design[gap[in_any]] @ coeffs[j]
         return out
 
-    return LineTrace(S=S, func=psi)
+    return psi
 
 
 def _schedule_for_order(kappa: float, order: int) -> ExtractionSchedule:

@@ -58,8 +58,9 @@ the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
 from Omega only, so its weighted imaginary part on the line's two rays
 feeds the far-field extraction / Karp / line-trace pipeline, and G is added
-back at the end. One field with a column per source evaluates D on the line
-points, on each ray and on the gap lattice, one call per point set.
+back at the end. One field with a column per source evaluates D in two
+calls, the line points with both rays and then the gap lattice, and the
+traces of all sources share one multipole design per point set.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _j_orders, hankel1
+from .specfun import EULER_GAMMA, _hankel01, _j_orders, hankel1
 from .fields import ImSamples, RayGeometry
 from .farfield import extract_all, make_schedule, schedule_abscissas
 from .karp import karp_from_farfield
-from .propagate import (HalfPlaneSpec, LineSpec, _trace_half_length,
-                        _trusted_radius, karp_line_trace)
+from .propagate import (HalfPlaneSpec, LineSpec, _karp_line_traces,
+                        _trace_half_length, _trusted_radius)
 
 __all__ = [
     "PotentialGrid",
@@ -577,7 +578,7 @@ class VolumeField:
             z = self.kappa * r[sel]
             # H_2..H_M upward from one H_0, H_1 pair: stable, as Y dominates
             hm = np.empty((m_top + 1, sel.size), dtype=complex)
-            hm[0], hm[1] = hankel1(0, z), hankel1(1, z)
+            hm[0], hm[1] = _hankel01(z)
             with np.errstate(over="ignore", invalid="ignore"):
                 for m in range(2, m_top + 1):
                     hm[m] = (2.0 * (m - 1) / z) * hm[m - 1] - hm[m - 2]
@@ -830,9 +831,11 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         d_field = VolumeField(kappa, None,
                               grid.v_flat[:, None] * core.solve(rhs), core,
                               grid.cell_size)
-        d_direct = d_field.correction(lam_pts)
-        d_plus = d_field.correction(pts_plus)
-        d_minus = d_field.correction(pts_minus)
+        # one call for the line points and both rays, one for the gap
+        # lattice, each for every source at once
+        d_direct, d_plus, d_minus = np.split(
+            d_field.correction(np.vstack([lam_pts, pts_plus, pts_minus])),
+            [n_points, n_points + sched_abs.size])
         karps = []
         for j in range(n_points):
             sp = ImSamples(ray=ray_plus, abscissas=sched_abs,
@@ -851,12 +854,11 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         xs = (np.arange(-m, m) + 0.5) * step
         gap_pts = origin + np.multiply.outer(xs, theta)
         im_gap = d_field.correction(gap_pts).imag
-        for j, kc in enumerate(karps):
-            trace = karp_line_trace(
-                kc, spec, S=_trace_half_length(kc, line),
-                im_points=gap_pts, im_values=im_gap[:, j],
-                gap_center=tuple(center))
-            d_recovered[:, j] = trace.func(s_pts)
+        # every source's trace from one multipole design per point set
+        traces = _karp_line_traces(
+            karps, spec, [_trace_half_length(kc, line) for kc in karps],
+            im_points=gap_pts, im_values=im_gap, gap_center=tuple(center))
+        d_recovered = traces(s_pts)
 
     # R = D - G off the diagonal, where G(x_i - x_j) is finite
     mask = ~np.eye(n_points, dtype=bool)

@@ -3,10 +3,12 @@
 Everything is computed from scratch in float64: power series for small
 arguments, normalized downward recurrence for the middle range, and beyond
 that the large-argument asymptotic series of hankel_asym_coeffs, summed
-through a fixed 35th power of 1/x as two real polynomials in 1/x^2 for the
-one order asked for. No third-party special-function library
-is used anywhere in the package; tests validate against independent
-oracles.
+through a fixed 35th power of 1/x as two real polynomials in 1/x^2 per
+order. hankel1 computes the one order asked for; the private _hankel01
+returns the H_0, H_1 pair that multipole and Karp sums start from, bit for
+bit as two hankel1 calls would, from one pass per branch. No third-party
+special-function library is used anywhere in the package; tests validate
+against independent oracles.
 
 All evaluation functions accept scalars or numpy arrays and are pure.
 """
@@ -241,27 +243,46 @@ def _horner(coeffs, v):
     return acc
 
 
-def _jy_asym(m: int, x: np.ndarray):
-    """J_m and Y_m for m in (0, 1) and x >= _ASYM_SPLIT, from the asymptotic
-    series of H_m = J_m + i Y_m.
+def _jy_asym(x: np.ndarray, orders=(0, 1)):
+    """(J_m, Y_m) for each m of orders, a subset of (0, 1), at x >=
+    _ASYM_SPLIT, from the asymptotic series of H_m = J_m + i Y_m.
 
     The hankel_asym_coeffs series through x^-_ASYM_ORDER has a_k = i^k r_k
     with r_k real, so it equals P(x^-2) + i Q(x^-2) / x for the two real
     polynomials of _ASYM_PQ, each summed by Horner's rule; H_m is that sum
-    times sqrt(2/(pi x)) exp(i(x - m pi/2 - pi/4)).
+    times sqrt(2/(pi x)) exp(i(x - m pi/2 - pi/4)). The orders share the
+    reduced phase, the amplitude and its cos and sin.
     """
-    p, q = _ASYM_PQ[m]
     u = 1.0 / x
     v = u * u
-    big_p = _horner(p, v)
-    big_q = u * _horner(q, v)
     phase = _reduce_phase(x) - 0.25 * np.pi
     amp = np.sqrt(2.0 / (np.pi * x))
     c, s = amp * np.cos(phase), amp * np.sin(phase)
-    re = c * big_p - s * big_q
-    im = s * big_p + c * big_q
-    # exp(-i m pi/2) is 1 for H_0 and -i for H_1
-    return (re, im) if m == 0 else (im, -re)
+    out = []
+    for m in orders:
+        p, q = _ASYM_PQ[m]
+        big_p = _horner(p, v)
+        big_q = u * _horner(q, v)
+        re = c * big_p - s * big_q
+        im = s * big_p + c * big_q
+        # exp(-i m pi/2) is 1 for H_0 and -i for H_1
+        out.append((re, im) if m == 0 else (im, -re))
+    return out
+
+
+def _jy01_series(x: np.ndarray):
+    """J_0, J_1, Y_0 and Y_1 below _SERIES_SPLIT, all from power series.
+
+    Orders through 13 make the Neumann tails < 1e-19 for x < 0.25; the
+    power series stands in for the recurrence, which would overflow at
+    tiny x.
+    """
+    js = [_j_power_series(k, x) for k in range(14)]
+    sums = np.zeros((3,) + x.shape)
+    for k, jk in enumerate(js):
+        _add_neumann(sums, k, jk)
+    y0, y1 = _y01(x, js[0], js[1], sums)
+    return js[0], js[1], y0, y1
 
 
 def _upward(c0, c1, m: int, x):
@@ -300,14 +321,7 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
         if need_j:
             jv[small] = _j_power_series(m, xs)
         if need_y:
-            # Orders through 13 make the Neumann tails < 1e-19 for x < 0.25;
-            # the power series stands in for the recurrence, which would
-            # overflow at tiny x.
-            js = [_j_power_series(k, xs) for k in range(14)]
-            sums = np.zeros((3,) + xs.shape)
-            for k, jk in enumerate(js):
-                _add_neumann(sums, k, jk)
-            y0, y1 = _y01(xs, js[0], js[1], sums)
+            _, _, y0, y1 = _jy01_series(xs)
             yv[small] = _upward(y0, y1, m, xs)
 
     if mid.any():
@@ -319,14 +333,14 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
             yv[mid] = _upward(y0, y1, m, xs)
 
     if big.any() and m <= 1:
-        jm, ym = _jy_asym(m, x[big])
+        (jm, ym), = _jy_asym(x[big], (m,))
         if need_j:
             jv[big] = jm
         if need_y:
             yv[big] = ym
     elif big.any():
         xs = x[big]
-        (j0, y0), (j1, y1) = _jy_asym(0, xs), _jy_asym(1, xs)
+        (j0, y0), (j1, y1) = _jy_asym(xs)
         if need_y:
             yv[big] = _upward(y0, y1, m, xs)
         if need_j:
@@ -386,6 +400,36 @@ def hankel1(m, x):
     if scalar:
         return complex(out[0])
     return out.reshape(shape)
+
+
+def _hankel01(x):
+    """(hankel1(0, x), hankel1(1, x)), bit for bit, from one pass per branch.
+
+    The two orders share the power series below _SERIES_SPLIT, one _miller
+    pass keeping J_0 and J_1 (from the same n_top as hankel1) in the middle
+    range, and the reduced phase, amplitude and cos/sin of the asymptotic
+    branch. Every branch works point by point, so the values do not depend
+    on which other points share the call, except that the power series
+    stops on a test over all of its points below _SERIES_SPLIT.
+    """
+    flat, shape, scalar = _prep_x(x, positive=True)
+    jy = np.empty((4,) + flat.shape)  # J_0, J_1, Y_0, Y_1
+    small = flat < _SERIES_SPLIT
+    big = flat >= _ASYM_SPLIT
+    mid = ~(small | big)
+    if small.any():
+        jy[:, small] = _jy01_series(flat[small])
+    if mid.any():
+        j01, y0, y1 = _miller(flat[mid], int(_ASYM_SPLIT) + 60, 1, every=True)
+        jy[:, mid] = j01[0], j01[1], y0, y1
+    if big.any():
+        (j0, y0), (j1, y1) = _jy_asym(flat[big])
+        jy[:, big] = j0, j1, y0, y1
+    out = np.empty((2,) + flat.shape, dtype=complex)
+    out.real, out.imag = jy[:2], jy[2:]
+    if scalar:
+        return complex(out[0, 0]), complex(out[1, 0])
+    return out[0].reshape(shape), out[1].reshape(shape)
 
 
 def j0_roots(n):

@@ -29,8 +29,10 @@ from imfield import (
     sample_im_on_ray,
     schedule_abscissas,
 )
-from imfield.propagate import (_gap_design, _interp_table, _schedule_for_order,
+from imfield.propagate import (_gap_design, _interp_table,
+                               _karp_line_traces, _schedule_for_order,
                                _trusted_radius)
+from imfield.specfun import _hankel01
 
 KAPPA = 5.0
 LAM = 2.0 * np.pi / KAPPA
@@ -424,16 +426,55 @@ def test_gap_design_columns_match_per_order_hankel(kappa):
 
 
 def test_gap_design_evaluates_one_hankel_pair(monkeypatch):
+    # one _hankel01 call gives H_0 and H_1; no per-order hankel1 call
     calls = []
 
     def counting(m, x):
         calls.append(m)
         return hankel1(m, x)
 
+    def counting_pair(x):
+        calls.append("pair")
+        return _hankel01(x)
+
     monkeypatch.setattr(propagate_mod, "hankel1", counting)
+    monkeypatch.setattr(propagate_mod, "_hankel01", counting_pair)
     pts = np.array([[-3.0, -1.55], [0.5, -1.55], [40.0, -1.55]])
     _gap_design(pts, (0.0, 0.0), 2.0, 5)
-    assert calls == [0, 1]
+    assert calls == ["pair"]
+
+
+def test_multi_series_trace_matches_single_series_bytes():
+    # three sources seen through one ray pair: the shared-design builder
+    # gives every series the bytes of its own karp_line_trace, a zero
+    # series included, and checks that the series share one frame
+    fields = [RadiationField(terms=(PointSource(y0, c),), kappa=KAPPA)
+              for y0, c in (((0.3, 0.2), 1.0), ((-0.2, 0.1), 0.5 - 0.7j),
+                            ((0.0, -0.3), 2.0j))]
+    kcs = []
+    for f in fields:
+        sp, sm, sched = _scenario_samples(f, 3)
+        kcs.append(karp_from_farfield(extract_all(sp, sm, 3, sched)))
+    kcs.append(KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=[0.0] * 4,
+                          G=[0.0] * 4, origin_shift=kcs[0].origin_shift))
+    pts, _ = _gap_data(fields[0])
+    vals = np.stack([_gap_data(f)[1] for f in fields]
+                    + [np.zeros(pts.shape[0])], axis=1)
+    S = [200 * LAM, 210 * LAM, 220 * LAM, 230 * LAM]
+    s = np.linspace(-150.0, 150.0, 4001)
+    got = _karp_line_traces(kcs, SPEC, S, im_points=pts, im_values=vals)(s)
+    assert got.shape == (s.size, 4)
+    for j, kc in enumerate(kcs):
+        one = karp_line_trace(kc, SPEC, S[j], im_points=pts,
+                              im_values=vals[:, j]).psi(s)
+        assert np.array_equal(np.ascontiguousarray(got[:, j]).view(np.uint64),
+                              np.ascontiguousarray(one).view(np.uint64))
+    assert np.all(got[:, 3] == 0.0)
+    other = KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=kcs[0].F[:3],
+                       G=kcs[0].G[:3], origin_shift=kcs[0].origin_shift)
+    with pytest.raises(ValueError):  # series of another order
+        _karp_line_traces([kcs[0], other], SPEC, S[:2], im_points=pts,
+                          im_values=vals[:, :2])
 
 
 def test_karp_line_trace_zero_field():

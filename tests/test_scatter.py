@@ -24,6 +24,7 @@ from imfield import (
     solve_lippmann_schwinger,
 )
 from imfield import scatter
+from imfield.farfield import schedule_abscissas
 from imfield.scatter import _SolverCore, _log_rect_integral, _weight_rows
 from imfield.specfun import _reduce_phase
 
@@ -599,8 +600,8 @@ def test_gkl_complex_v_tilted_line():
 
 def test_gkl_gap_rows_built_once(monkeypatch):
     # later sources on this line need a wider Karp gap than earlier ones;
-    # the volume term is still evaluated once per point set, for every
-    # source at once: the line points, the two rays and one gap lattice
+    # the volume term is still evaluated in two calls, each for every
+    # source at once: the line points with both rays, then one gap lattice
     # covering every source
     grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
     solve_lippmann_schwinger(grid, (0.0, -2.0))  # factor the core up front
@@ -617,8 +618,11 @@ def test_gkl_gap_rows_built_once(monkeypatch):
         report = gkl_reduce(grid, LINE, (-1.0, 4.0), order=3,
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
-        assert len(calls) == 4
-        assert calls[0] == (n_points, 2) and calls[1] == calls[2]
+        n_ray = schedule_abscissas(
+            scatter._noise_schedule(grid.kappa, 3, 1e-6)).size
+        assert len(calls) == 2
+        assert calls[0] == (n_points + 2 * n_ray, 2)
+        assert calls[1][0] % 2 == 0 and calls[1][1:] == (2,)
 
 
 def test_gkl_free_table_is_one_hankel_call(monkeypatch):

@@ -22,6 +22,7 @@ from imfield import (
     j0_roots,
     hankel_asym_coeffs,
 )
+from imfield.specfun import _hankel01
 
 # Frozen oracle values (power-series oracle, 60-digit summation).
 J0_AT_1 = 0.7651976865579666
@@ -348,3 +349,54 @@ def test_every_order_table_matches_bessel_j(seed, m_top):
     for m in range(m_top + 1):
         want = bessel_j(m, x)
         assert np.all(np.abs(table[m] - want) <= 5e-15 + 1e-12 * np.abs(want))
+
+
+# ---------------------------------------------------------- H_0, H_1 pair
+
+# the branch splits and their float neighbours
+_SPLIT_POINTS = [v for e in (0.25, 17.5)
+                 for v in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf))]
+
+
+def _bits(h):
+    return np.ascontiguousarray(np.atleast_1d(h), dtype=complex).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+                             st.sampled_from(_SPLIT_POINTS)),
+                   min_size=1, max_size=64))
+def test_hankel01_is_the_hankel1_pair_bit_for_bit(xs):
+    x = np.array(xs)
+    h0, h1 = _hankel01(x)
+    assert np.array_equal(_bits(h0), _bits(hankel1(0, x)))
+    assert np.array_equal(_bits(h1), _bits(hankel1(1, x)))
+
+
+@pytest.mark.parametrize("x", [1e-3] + _SPLIT_POINTS + [3.0, 80.0])
+def test_hankel01_scalar(x):
+    h0, h1 = _hankel01(x)
+    assert type(h0) is complex and type(h1) is complex
+    assert np.array_equal(_bits(h0), _bits(hankel1(0, x)))
+    assert np.array_equal(_bits(h1), _bits(hankel1(1, x)))
+
+
+def test_hankel01_keeps_the_shape():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([_SPLIT_POINTS, rng.uniform(0.01, 0.25, 18),
+                        rng.uniform(0.25, 17.5, 18),
+                        rng.uniform(17.5, 90.0, 18)]).reshape(3, 4, 5)
+    h0, h1 = _hankel01(x)
+    assert h0.shape == h1.shape == x.shape
+    assert np.array_equal(_bits(h0), _bits(hankel1(0, x)))
+    assert np.array_equal(_bits(h1), _bits(hankel1(1, x)))
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, np.nan, np.inf, -np.inf,
+                               [1.0, 0.0], [2.0, np.nan], [[3.0], [-2.0]]])
+def test_hankel01_domain_errors_match_hankel1(x):
+    with pytest.raises(ValueError) as want:
+        hankel1(0, x)
+    with pytest.raises(ValueError) as got:
+        _hankel01(x)
+    assert str(got.value) == str(want.value)
