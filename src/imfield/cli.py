@@ -70,6 +70,7 @@ from .propagate import (
 )
 from .scatter import (
     PotentialGrid,
+    _line_clears_support,
     check_reciprocity,
     gkl_reduce,
     potential_from_dict,
@@ -176,7 +177,7 @@ def _load_line(obj):
     return LineSpec(point=tuple(p), theta=tuple(v / norm))
 
 
-def _check_line_geometry(line, field, potential, kappa):
+def _check_line_geometry(line, field, potential):
     """Sources must sit strictly on one side of the measurement line."""
     p0 = np.asarray(line.point)
     t = np.asarray(line.theta)
@@ -186,15 +187,9 @@ def _check_line_geometry(line, field, potential, kappa):
         if d <= field.source_radius:
             _fail("line", f"the line meets the source disk (offset {d:.6g} "
                           f"<= source radius {field.source_radius:.6g})")
-    if potential is not None:
-        x0, y0, x1, y1 = potential.bbox
-        corners = np.array([[x0, y0], [x1, y0], [x0, y1], [x1, y1]])
-        n0 = np.array([-t[1], t[0]])
-        offs = (corners - p0) @ n0
-        lam = 2.0 * np.pi / kappa
-        if offs.min() * offs.max() <= 0.0 or np.min(np.abs(offs)) < 0.25 * lam:
-            _fail("line", "the line must keep the potential support strictly "
-                          "on one side, at least a quarter wavelength away")
+    if potential is not None and not _line_clears_support(potential, line):
+        _fail("line", "the line must keep the potential support strictly "
+                      "on one side, at least a quarter wavelength away")
 
 
 def load_scenario(path) -> Scenario:
@@ -240,7 +235,7 @@ def load_scenario(path) -> Scenario:
 
     line = _load_line(data["line"]) if "line" in data else None
     if line is not None:
-        _check_line_geometry(line, field, potential, kappa)
+        _check_line_geometry(line, field, potential)
 
     interval = None
     if "interval" in data:

@@ -42,7 +42,7 @@ import numpy as np
 from .farfield import ExtractionSchedule, make_schedule, extract_all
 from .fields import ImSamples
 from .karp import KarpCoeffs, eval_karp, karp_from_farfield
-from .specfun import _hankel01, _upward, hankel1
+from .specfun import _outgoing_design, hankel1
 
 __all__ = [
     "LineSpec",
@@ -136,22 +136,16 @@ def _window(s, S, c):
 class LineTrace:
     """Trace of psi on the line over [-S, S] in the line's abscissa.
 
-    Exactly one provider: a vectorized callable s -> psi, or a sampled table
-    (interpolated with degree-6 local polynomials; the table must cover
-    [-S, S] and resolve the oscillation with >= 10 samples per wavelength,
-    checked against kappa at propagation time).
-
-    The provider is taken as fixed: the quadrature nodes and the trace
-    values at them, folded with the quadrature weights and the window, are
-    memoised per (kappa, panels per wavelength), so every target propagated
-    from one trace evaluates the trace once per node set.
+    The provider func is a vectorized callable s -> psi, taken as fixed:
+    the quadrature nodes and the trace values at them, folded with the
+    quadrature weights and the window, are memoised per (kappa, panels per
+    wavelength), so every target propagated from one trace evaluates the
+    trace once per node set.
     """
 
     S: float
+    func: object
     panels_per_wavelength: int = 10
-    func: object = None
-    abscissas: np.ndarray = None
-    values: np.ndarray = None
     _node_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -159,32 +153,12 @@ class LineTrace:
             raise ValueError("S must be positive")
         if self.panels_per_wavelength < 1:
             raise ValueError("panels_per_wavelength must be >= 1")
-        has_table = self.abscissas is not None or self.values is not None
-        if (self.func is None) == (not has_table):
-            raise ValueError("provide exactly one of func or a sampled table")
-        if has_table:
-            a = np.asarray(self.abscissas, dtype=float)
-            v = np.asarray(self.values, dtype=complex)
-            if a.ndim != 1 or a.shape != v.shape or a.size < 7:
-                raise ValueError("table needs matching 1-d arrays, >= 7 points")
-            if np.any(np.diff(a) <= 0):
-                raise ValueError("table abscissas must be strictly increasing")
-            if a[0] > -self.S or a[-1] < self.S:
-                raise ValueError("table must cover [-S, S]")
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v.real))
-                    and np.all(np.isfinite(v.imag))):
-                raise ValueError("table entries must be finite")
-            object.__setattr__(self, "abscissas", a)
-            object.__setattr__(self, "values", v)
         object.__setattr__(self, "S", float(self.S))
         object.__setattr__(self, "panels_per_wavelength",
                            int(self.panels_per_wavelength))
 
     def psi(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.func is not None:
-            return np.asarray(self.func(s), dtype=complex)
-        return _interp_table(self.abscissas, self.values, s)
+        return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=complex)
 
     def _nodes(self, kappa: float, ppw: int, c: float = _WINDOW_C):
         """Read-only nodes s and values -2 w W_c(s) psi(s), memoised.
@@ -211,33 +185,6 @@ class LineTrace:
             vals.setflags(write=False)
             windowed[c] = vals
         return s, windowed[c]
-
-
-def _interp_table(absc, vals, s):
-    """Local Lagrange interpolation of degree 6 on the 7 nearest table nodes.
-
-    Barycentric form, vectorised over the evaluation points: the windows
-    are gathered as (points, 7) arrays and the weights of each distinct
-    window computed once. A point on a node returns that node's value.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    flat = s.ravel()
-    lo = np.clip(np.searchsorted(absc, flat) - 4, 0, absc.size - 7)
-    starts, which = np.unique(lo, return_inverse=True)
-    nodes = absc[starts[:, None] + np.arange(7)]
-    gaps = nodes[:, :, None] - nodes[:, None, :]
-    gaps[:, np.arange(7), np.arange(7)] = 1.0
-    w = (1.0 / np.prod(gaps, axis=2))[which]
-    win = lo[:, None] + np.arange(7)
-    xs, ys = absc[win], vals[win]
-    diff = flat[:, None] - xs
-    hit = diff == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = w / diff
-        out = np.sum(t * ys, axis=1) / np.sum(t, axis=1)
-    rows = np.nonzero(hit.any(axis=1))[0]
-    out[rows] = ys[rows, np.argmax(hit[rows], axis=1)]
-    return out.reshape(s.shape)
 
 
 def green_kernel_normal(x, y, nu, kappa: float):
@@ -314,10 +261,6 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
     if spec.signed_offset(x) > -0.25 * lam:
         raise ValueError(
             "x must lie inside V_L at least a quarter wavelength from L")
-    if trace.abscissas is not None:
-        spacing = np.max(np.diff(trace.abscissas))
-        if spacing > lam / 10.0 + 1e-12:
-            raise ValueError("sampled trace needs >= 10 samples per wavelength")
     value, est = _quadrature(trace, spec, x, kappa,
                              trace.panels_per_wavelength,
                              full_output or tol is not None)
@@ -336,32 +279,6 @@ _TRUNC_TOL = 1e-3
 # Singular values of the column-normalized gap fit below this fraction of
 # the largest are dropped.
 _SVD_CUTOFF = 1e-6
-
-
-def _gap_design(points, center, kappa, modes):
-    """Outgoing-multipole columns H_|m|(kappa r) e^(i m phi) about center.
-
-    H_2..H_modes follow from one H_0, H_1 pair by the upward recurrence,
-    which is stable for H; columns m and -m share H_|m| and take conjugate
-    phase factors.
-    """
-    pts = np.asarray(points, dtype=float)
-    dx = pts[..., 0] - center[0]
-    dy = pts[..., 1] - center[1]
-    r = np.hypot(dx, dy)
-    z = kappa * r
-    h0, h1 = _hankel01(z)
-    h = [h0, h1] + [_upward(h0, h1, m, z) for m in range(2, modes + 1)]
-    # e^(i m phi) as powers of e^(i phi) = (dx + i dy) / r
-    e1 = (dx + 1j * dy) / r
-    cols = np.empty(z.shape + (2 * modes + 1,), dtype=complex)
-    cols[..., modes] = h0
-    e = e1
-    for m in range(1, modes + 1):
-        cols[..., modes + m] = h[m] * e
-        cols[..., modes - m] = h[m] * e.conj()
-        e = e * e1
-    return cols
 
 
 def _gap_completion(Af, bf, Ag, im_values):
@@ -562,12 +479,12 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
                              "off the line")
         # the gaps are nested: the widest holds every series' points
         near = np.abs(xi_pts) <= max(xi_gaps.values())
-        Ag = _gap_design(pts[near], gap_center, kappa, gap_modes)
+        Ag = _outgoing_design(pts[near], gap_center, kappa, gap_modes)
         xi_fit = {}
         for j, xi_gap in xi_gaps.items():
             band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
             xi_fit[j] = np.concatenate([-band[::-1], band])
-        Af = _gap_design(line_point(np.concatenate(list(xi_fit.values()))),
+        Af = _outgoing_design(line_point(np.concatenate(list(xi_fit.values()))),
                          gap_center, kappa, gap_modes)
         for j, Af_j in zip(xi_gaps, np.split(Af, len(xi_gaps))):
             coeffs[j], resid = _gap_completion(
@@ -586,7 +503,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
             return out
         in_any = np.abs(xi) < max(xi_gaps.values())
         if np.any(in_any):
-            design = _gap_design(line_point(xi[in_any]), gap_center,
+            design = _outgoing_design(line_point(xi[in_any]), gap_center,
                                  kappa, gap_modes)
         for j, xi_gap in xi_gaps.items():
             gap = np.abs(xi) < xi_gap

@@ -47,7 +47,9 @@ points and points within twice the support radius rho_max of its centre
 c. The other points of a call use the exterior expansion of Graf's
 addition theorem (Abramowitz and Stegun 9.1.79), H_|m|(kappa |x - c|)
 e^{i m phi_x} times 2M + 1 multipole moments, M set once per grid for
-the nearest such points, at 2 rho_max. The moments are formed once per
+the nearest such points, at 2 rho_max. Its columns come from
+specfun._outgoing_design, the outgoing-multipole basis that the gap fit
+of the line traces uses too. The moments are formed once per
 field from a source-independent J_|m| table of the cells, built on the
 solver core on first use. The expansion is the midpoint rule for G, so
 it keeps full accuracy at any distance, where the corner differences of
@@ -71,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _hankel01, _j_orders, hankel1
+from .specfun import EULER_GAMMA, _j_orders, _outgoing_design, hankel1
 from .fields import ImSamples, RayGeometry
 from .farfield import extract_all, make_schedule, schedule_abscissas
 from .karp import karp_from_farfield
@@ -569,25 +571,15 @@ class VolumeField:
             hx, hy = self.cell_size
             self._moments = hx * hy * (table @ self.coeff)
         m_top = (table.shape[0] - 1) // 2
-        orders = np.arange(-m_top, m_top + 1)
         where = np.flatnonzero(far)
         # chunk the points to bound the (points x orders) temporaries
-        chunk = max(1, 2 ** 18 // orders.size)
+        chunk = max(1, 2 ** 18 // table.shape[0])
         for lo in range(0, where.size, chunk):
             sel = where[lo:lo + chunk]
-            z = self.kappa * r[sel]
-            # H_2..H_M upward from one H_0, H_1 pair: stable, as Y dominates
-            hm = np.empty((m_top + 1, sel.size), dtype=complex)
-            hm[0], hm[1] = _hankel01(z)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for m in range(2, m_top + 1):
-                    hm[m] = (2.0 * (m - 1) / z) * hm[m - 1] - hm[m - 2]
-            if not np.all(np.isfinite(hm)):  # tiny kappa r or huge M
+            design = _outgoing_design(flat[sel], c, self.kappa, m_top)
+            if not np.all(np.isfinite(design)):  # tiny kappa r or huge M
                 return None
-            phi = np.arctan2(rel[sel, 1], rel[sel, 0])
-            terms = hm[np.abs(orders)].T \
-                * np.exp(1j * np.multiply.outer(phi, orders))
-            vals[sel] = 0.25j * (terms @ self._moments)
+            vals[sel] = 0.25j * (design @ self._moments)
         return far
 
     def __call__(self, x):
@@ -635,7 +627,7 @@ def solve_lippmann_schwinger(grid: PotentialGrid, y) -> VolumeField:
     gap = np.hypot(core.centers[:, 0] - y[0], core.centers[:, 1] - y[1])
     if np.min(gap) < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
         raise ValueError("y coincides with a cell center; offset it")
-    rhs = -0.25j * hankel1(0, kappa * gap)
+    rhs = -_free_kernel(kappa, core.centers - y)
     coeff = grid.v_flat * core.solve(rhs)
     return VolumeField(kappa, incident, coeff, core, grid.cell_size)
 
@@ -764,6 +756,19 @@ def _table_defect(table, scale):
     return float(np.max(gap)) / scale
 
 
+def _line_clears_support(grid: PotentialGrid, line: LineSpec) -> bool:
+    """Whether the support rectangle of grid lies strictly on one side of
+    line, at least a quarter wavelength away; otherwise R is not a
+    radiation solution past the line."""
+    x0, y0, x1, y1 = grid.bbox
+    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
+    t = np.asarray(line.theta)
+    offs = (corners - np.asarray(line.point)) @ np.array([-t[1], t[0]])
+    lam = 2.0 * np.pi / grid.kappa
+    return bool(offs.min() * offs.max() > 0.0
+                and np.min(np.abs(offs)) >= 0.25 * lam)
+
+
 def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
                n_points: int = 5, data_tol: float = 1e-6) -> GklReport:
     """Recover complex R(x, y) on Lambda x Lambda from Im R sampled on the line.
@@ -788,19 +793,13 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         raise ValueError("n_points must be >= 2")
     if order < 1:
         raise ValueError("order must be >= 1")
+    if not _line_clears_support(grid, line):
+        raise ValueError("line must keep clear of the potential support")
     kappa = grid.kappa
     lam = 2.0 * np.pi / kappa
     p0 = np.asarray(line.point)
     theta = np.asarray(line.theta)
     nu = np.array([-theta[1], theta[0]])
-
-    # the support must sit on one side of the line, at least a quarter
-    # wavelength away, or R is not a radiation solution past the line
-    x0, y0, x1, y1 = grid.bbox
-    corners = np.array([[x0, y0], [x0, y1], [x1, y0], [x1, y1]])
-    offs = (corners - p0) @ nu
-    if np.min(offs) * np.max(offs) <= 0 or np.min(np.abs(offs)) < 0.25 * lam:
-        raise ValueError("line must keep clear of the potential support")
 
     center = grid.center_point()
     s_q = float((center - p0) @ theta)  # foot of the support center
@@ -824,9 +823,7 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     d_direct = np.zeros((n_points, n_points), dtype=complex)
     if not grid.is_free:  # else D vanishes identically
         core = _core(grid)
-        gap = np.hypot(core.centers[:, None, 0] - lam_pts[None, :, 0],
-                       core.centers[:, None, 1] - lam_pts[None, :, 1])
-        rhs = -0.25j * hankel1(0, kappa * gap)
+        rhs = -_free_kernel(kappa, core.centers[:, None] - lam_pts[None, :])
         # D(., y_j) is the volume term of R(., y_j), column j of one field
         d_field = VolumeField(kappa, None,
                               grid.v_flat[:, None] * core.solve(rhs), core,

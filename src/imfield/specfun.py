@@ -6,9 +6,11 @@ that the large-argument asymptotic series of hankel_asym_coeffs, summed
 through a fixed 35th power of 1/x as two real polynomials in 1/x^2 per
 order. hankel1 computes the one order asked for; the private _hankel01
 returns the H_0, H_1 pair that multipole and Karp sums start from, bit for
-bit as two hankel1 calls would, from one pass per branch. No third-party
-special-function library is used anywhere in the package; tests validate
-against independent oracles.
+bit as two hankel1 calls would, from one pass per branch, and the private
+_outgoing_design builds from it the outgoing-multipole columns that the
+gap fit of propagate and the exterior expansion of scatter both sum. No
+third-party special-function library is used anywhere in the package;
+tests validate against independent oracles.
 
 All evaluation functions accept scalars or numpy arrays and are pure.
 """
@@ -285,17 +287,15 @@ def _jy01_series(x: np.ndarray):
     return js[0], js[1], y0, y1
 
 
-def _upward(c0, c1, m: int, x):
+def _upward(c0, c1, m: int, x, every: bool = False):
     """C_m from C_0, C_1 by the three-term recurrence (stable when the
-    dominant solution is being propagated).
+    dominant solution is being propagated); with every=True the list
+    C_0..C_m from the same pass.
 
     When an entry saturates to +-inf (Y_m beyond float range at tiny x), it
     is frozen there instead of turning into NaN on the next step.
     """
-    if m == 0:
-        return c0
-    if m == 1:
-        return c1
+    seq = [c0, c1]
     prev, cur = np.asarray(c0), np.asarray(c1)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, m):
@@ -304,7 +304,11 @@ def _upward(c0, c1, m: int, x):
             if bad.any():
                 nxt = np.where(bad, cur, nxt)
             prev, cur = cur, nxt
-    return cur
+            if every:
+                seq.append(cur)
+    if every:
+        return seq[:m + 1]
+    return c0 if m == 0 else c1 if m == 1 else cur
 
 
 def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
@@ -430,6 +434,32 @@ def _hankel01(x):
     if scalar:
         return complex(out[0, 0]), complex(out[1, 0])
     return out[0].reshape(shape), out[1].reshape(shape)
+
+
+def _outgoing_design(points, center, kappa, modes):
+    """Outgoing-multipole columns H_|m|(kappa r) e^(i m phi) about center.
+
+    Points have shape (..., 2); the result has shape (..., 2 modes + 1),
+    column modes + m holding order m for m = -modes..modes. H_2..H_modes
+    follow from one _hankel01 pair by one _upward pass, stable for H;
+    columns m and -m share H_|m| and take conjugate phase factors, powers
+    of e^(i phi) = (dx + i dy) / r.
+    """
+    pts = np.asarray(points, dtype=float)
+    dx = pts[..., 0] - center[0]
+    dy = pts[..., 1] - center[1]
+    r = np.hypot(dx, dy)
+    z = kappa * r
+    h = _upward(*_hankel01(z), modes, z, every=True)
+    e1 = (dx + 1j * dy) / r
+    cols = np.empty(z.shape + (2 * modes + 1,), dtype=complex)
+    cols[..., modes] = h[0]
+    e = e1
+    for m in range(1, modes + 1):
+        cols[..., modes + m] = h[m] * e
+        cols[..., modes - m] = h[m] * e.conj()
+        e = e * e1
+    return cols
 
 
 def j0_roots(n):

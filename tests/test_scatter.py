@@ -648,14 +648,19 @@ def test_gkl_free_table_is_one_hankel_call(monkeypatch):
             assert abs(report.direct[i, j] + g) <= 1e-14 * abs(g)
 
 
+@pytest.mark.parametrize("point, theta", [
+    ((0.0, 0.0), (1.0, 0.0)),  # crosses the box
+    ((0.0, -0.55), (1.0, 0.0)),  # 0.05 below it, within lambda / 4 = 0.39
+    ((-0.8, 0.6), (0.6, 0.8)),  # tilted, 0.3 from the nearest corner
+])
+def test_gkl_line_must_clear_support(point, theta):
+    with pytest.raises(ValueError, match="keep clear of the potential"):
+        gkl_reduce(gauss_grid(8), LineSpec(point=point, theta=theta),
+                   (-2.0, 2.0), order=3)
+
+
 def test_gkl_validation():
     grid = gauss_grid(8)
-    with pytest.raises(ValueError):
-        gkl_reduce(grid, LineSpec(point=(0.0, 0.0), theta=(1.0, 0.0)),
-                   (-2.0, 2.0), order=3)
-    with pytest.raises(ValueError):
-        gkl_reduce(grid, LineSpec(point=(0.0, -0.55), theta=(1.0, 0.0)),
-                   (-2.0, 2.0), order=3)
     with pytest.raises(ValueError):
         gkl_reduce(grid, LINE, (2.0, -2.0), order=3)
     with pytest.raises(ValueError):

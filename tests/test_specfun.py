@@ -22,7 +22,7 @@ from imfield import (
     j0_roots,
     hankel_asym_coeffs,
 )
-from imfield.specfun import _hankel01
+from imfield.specfun import _hankel01, _outgoing_design
 
 # Frozen oracle values (power-series oracle, 60-digit summation).
 J0_AT_1 = 0.7651976865579666
@@ -400,3 +400,23 @@ def test_hankel01_domain_errors_match_hankel1(x):
     with pytest.raises(ValueError) as got:
         _hankel01(x)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("modes", [5, 57])
+def test_outgoing_design_matches_scipy_hankel(modes):
+    # kappa r drawn from each branch: power series, Miller, asymptotic
+    rng = np.random.default_rng(3)
+    z = np.concatenate([rng.uniform(0.01, 0.25, 40),
+                        rng.uniform(0.25, 17.5, 40),
+                        rng.uniform(17.5, 400.0, 40)])
+    kappa, center = 2.5, (0.3, -0.7)
+    phi = rng.uniform(-np.pi, np.pi, z.size)
+    pts = np.array(center) \
+        + (z / kappa)[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    got = _outgoing_design(pts, center, kappa, modes)
+    assert got.shape == (z.size, 2 * modes + 1)
+    dx, dy = pts[:, 0] - center[0], pts[:, 1] - center[1]
+    zr, ph = kappa * np.hypot(dx, dy), np.arctan2(dy, dx)
+    for j, m in enumerate(range(-modes, modes + 1)):
+        ref = special.hankel1(abs(m), zr) * np.exp(1j * m * ph)
+        assert np.max(np.abs(got[:, j] - ref) / np.abs(ref)) <= 1e-12
