@@ -692,10 +692,7 @@ def main(argv=None) -> int:
         prog="imfield",
         description="Run a reconstruction or scattering experiment described "
                     "by a JSON scenario file and write CSV/JSON artifacts.")
-    parser.add_argument("command",
-                        choices=["synth", "extract", "karp", "propagate",
-                                 "counterexample", "scatter", "gkl",
-                                 "pipeline"],
+    parser.add_argument("command", choices=list(_COMMANDS),
                         help="which pipeline to run")
     parser.add_argument("--scenario", required=True,
                         help="path to the scenario JSON file")

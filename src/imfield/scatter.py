@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .specfun import EULER_GAMMA, _j_orders, _outgoing_design, hankel1
+from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
 from .fields import ImSamples, RayGeometry
 from .farfield import extract_all, make_schedule, schedule_abscissas
 from .karp import karp_from_farfield
@@ -431,7 +431,8 @@ class _SolverCore:
                 m_top = _expansion_order(self.op.kappa, rho_max)
                 orders = np.arange(-m_top, m_top + 1)
                 phi = np.arctan2(rel[:, 1], rel[:, 0])
-                jm = _j_orders(m_top, self.op.kappa * rho)
+                jm = _jy(m_top, self.op.kappa * rho, need_y=False,
+                         every=True)[0]
                 table = jm[np.abs(orders)] \
                     * np.exp(-1j * np.multiply.outer(orders, phi))
             self._expansion = (c, rho_max, table)

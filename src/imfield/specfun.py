@@ -1,16 +1,19 @@
 """Bessel and Hankel functions of integer order for real arguments.
 
-Everything is computed from scratch in float64: power series for small
-arguments, normalized downward recurrence for the middle range, and beyond
-that the large-argument asymptotic series of hankel_asym_coeffs, summed
-through a fixed 35th power of 1/x as two real polynomials in 1/x^2 per
-order. hankel1 computes the one order asked for; the private _hankel01
-returns the H_0, H_1 pair that multipole and Karp sums start from, bit for
-bit as two hankel1 calls would, from one pass per branch, and the private
-_outgoing_design builds from it the outgoing-multipole columns that the
-gap fit of propagate and the exterior expansion of scatter both sum. No
-third-party special-function library is used anywhere in the package;
-tests validate against independent oracles.
+Everything is computed from scratch in float64 by one evaluator, _jy, with
+one pass per branch of x: a power series for every order below 0.25,
+normalized downward recurrence for the middle range, and beyond 17.5 the
+large-argument asymptotic series of hankel_asym_coeffs, summed through a
+fixed 35th power of 1/x as two real polynomials in 1/x^2 per order. _jy
+returns J_m and Y_m, or with every=True the tables J_0..J_m and Y_0..Y_m
+from the same pass. bessel_j, bessel_y and hankel1 take the one order
+asked for from it; the private _hankel01 takes the order-1 tables, the
+H_0, H_1 pair that multipole and Karp sums start from, bit for bit as two
+hankel1 calls would; the Graf table of scatter takes the J table. The
+private _outgoing_design builds from the pair the outgoing-multipole
+columns that the gap fit of propagate and the exterior expansion of
+scatter both sum. No third-party special-function library is used
+anywhere in the package; tests validate against independent oracles.
 
 All evaluation functions accept scalars or numpy arrays and are pure.
 """
@@ -18,7 +21,6 @@ All evaluation functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,14 +112,23 @@ def _prep_x(x, positive: bool):
     return flat, arr.shape, scalar
 
 
-def _j_power_series(m: int, x: np.ndarray) -> np.ndarray:
-    """J_m by its defining power series; adequate for x below ~1."""
+def _j_series(top: int, x: np.ndarray) -> np.ndarray:
+    """J_0..J_top by the defining power series, shape (top + 1, len(x));
+    adequate for x below ~1.
+
+    The leading terms (x/2)^m / m! are built by a running product, so for
+    large orders they underflow to zero instead of overflowing, and J_m(0)
+    comes out exact. All orders share one stopping test, which the slowest
+    converging order 0 decides.
+    """
     half = 0.5 * x
-    term = half**m / math.factorial(m)
+    orders = np.arange(top + 1)[:, None]
+    term = np.cumprod(np.vstack([np.ones_like(half), half / orders[1:]]),
+                      axis=0)
     total = term.copy()
     hsq = half * half
     for k in range(1, 24):
-        term = term * (-hsq) / (k * (m + k))
+        term = term * (-hsq) / (k * (orders + k))
         total += term
         if np.max(np.abs(term)) < 1e-19 * max(np.max(np.abs(total)), 1e-300):
             break
@@ -177,7 +188,7 @@ def _miller(x: np.ndarray, n_top: int, m: int, every: bool = False):
     jc = np.full_like(x, 1e-30)  # J_k, unnormalized
     sums = np.zeros((3,) + x.shape)
     kept = {}
-    keep = range(m + 1) if every else (m, 1)
+    keep = range(max(m, 1) + 1) if every else (m, 1)
     # bounds on |J_k| and |J_{k+1}| over all x decide when to look for
     # entries to rescale; from n_top = 77 at x >= 0.25 (the middle branch
     # for orders up to 17) the bound stays below 1e153, so none ever are
@@ -203,37 +214,6 @@ def _miller(x: np.ndarray, n_top: int, m: int, every: bool = False):
     if every:
         return np.stack([kept[k] for k in range(m + 1)]) / norm, y0, y1
     return (jc if m == 0 else kept[m]) / norm, y0, y1
-
-
-def _j_orders(m: int, x: np.ndarray) -> np.ndarray:
-    """J_0..J_m at each x >= 0 of a flat array, shape (m + 1, len(x)).
-
-    The defining power series below _SERIES_SPLIT (its leading terms built
-    by a running product, so they underflow to zero instead of overflowing
-    for large m), and one downward recurrence pass of _miller keeping every
-    order elsewhere, its top n_top >= m + 60 above max(x) as well.
-    """
-    out = np.empty((m + 1,) + x.shape)
-    small = x < _SERIES_SPLIT
-    if small.any():
-        half = 0.5 * x[small]
-        orders = np.arange(1, m + 1)[:, None]
-        term = np.cumprod(np.vstack([np.ones_like(half),
-                                     half / orders]), axis=0)
-        total = term.copy()
-        hsq = half * half
-        for k in range(1, 24):
-            term = term * (-hsq) / (k * (np.arange(m + 1)[:, None] + k))
-            total += term
-            if np.max(np.abs(term)) < 1e-19 * max(np.max(np.abs(total)),
-                                                  1e-300):
-                break
-        out[:, small] = total
-    if not small.all():
-        xs = x[~small]
-        n_top = max(m, int(np.ceil(xs.max()))) + 60
-        out[:, ~small] = _miller(xs, n_top, max(m, 1), every=True)[0][:m + 1]
-    return out
 
 
 def _horner(coeffs, v):
@@ -272,21 +252,6 @@ def _jy_asym(x: np.ndarray, orders=(0, 1)):
     return out
 
 
-def _jy01_series(x: np.ndarray):
-    """J_0, J_1, Y_0 and Y_1 below _SERIES_SPLIT, all from power series.
-
-    Orders through 13 make the Neumann tails < 1e-19 for x < 0.25; the
-    power series stands in for the recurrence, which would overflow at
-    tiny x.
-    """
-    js = [_j_power_series(k, x) for k in range(14)]
-    sums = np.zeros((3,) + x.shape)
-    for k, jk in enumerate(js):
-        _add_neumann(sums, k, jk)
-    y0, y1 = _y01(x, js[0], js[1], sums)
-    return js[0], js[1], y0, y1
-
-
 def _upward(c0, c1, m: int, x, every: bool = False):
     """C_m from C_0, C_1 by the three-term recurrence (stable when the
     dominant solution is being propagated); with every=True the list
@@ -295,6 +260,8 @@ def _upward(c0, c1, m: int, x, every: bool = False):
     When an entry saturates to +-inf (Y_m beyond float range at tiny x), it
     is frozen there instead of turning into NaN on the next step.
     """
+    if m <= 1:
+        return [c0, c1][:m + 1] if every else c1 if m else c0
     seq = [c0, c1]
     prev, cur = np.asarray(c0), np.asarray(c1)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -306,15 +273,36 @@ def _upward(c0, c1, m: int, x, every: bool = False):
             prev, cur = cur, nxt
             if every:
                 seq.append(cur)
-    if every:
-        return seq[:m + 1]
-    return c0 if m == 0 else c1 if m == 1 else cur
+    return seq if every else cur
 
 
-def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
-    """J_m(x) and/or Y_m(x) on a flat positive array."""
-    jv = np.empty_like(x) if need_j else None
-    yv = np.empty_like(x) if need_y else None
+def _jy(m: int, x: np.ndarray, need_j: bool = True, need_y: bool = True,
+        every: bool = False):
+    """(J_m, Y_m) at each x of a flat array, from one pass per branch.
+
+    With every=True the two are the tables J_0..J_m and Y_0..Y_m instead,
+    shape (m + 1, len(x)). An entry not needed is None. x must be > 0,
+    except that x = 0 is allowed when only J is needed. Every branch works
+    point by point, so the values do not depend on which other points share
+    the call, except that the power series stops on a test over all of its
+    points.
+
+    Below _SERIES_SPLIT, one power series gives J_0..J_max(m, 13); Y_0 and
+    Y_1 follow from its first 14 orders, which make the Neumann tails
+    < 1e-19 there (the recurrence would overflow at tiny x). In the middle
+    range one _miller pass gives J and Y_0, Y_1. From _ASYM_SPLIT up a lone
+    order 0 or 1 comes straight from _jy_asym; otherwise the (0, 1) pair
+    does. Y_m recurs up from Y_0, Y_1 in every branch.
+    """
+    lead = (m + 1,) if every else ()
+    jv = np.empty(lead + x.shape) if need_j else None
+    yv = np.empty(lead + x.shape) if need_y else None
+
+    def put(out, mask, val):
+        # row by row: 1-d masked stores are several times faster than
+        # one out[:, mask] store
+        for row, v in zip(out, val) if every else [(out, val)]:
+            row[mask] = v
 
     small = x < _SERIES_SPLIT
     big = x >= _ASYM_SPLIT
@@ -322,44 +310,47 @@ def _jy_flat(m: int, x: np.ndarray, need_j: bool, need_y: bool):
 
     if small.any():
         xs = x[small]
+        js = _j_series(max(m, 13) if need_y else m, xs)
         if need_j:
-            jv[small] = _j_power_series(m, xs)
+            put(jv, small, js[:m + 1] if every else js[m])
         if need_y:
-            _, _, y0, y1 = _jy01_series(xs)
-            yv[small] = _upward(y0, y1, m, xs)
+            sums = np.zeros((3,) + xs.shape)
+            for k in range(14):
+                _add_neumann(sums, k, js[k])
+            y0, y1 = _y01(xs, js[0], js[1], sums)
+            put(yv, small, _upward(y0, y1, m, xs, every))
 
     if mid.any():
         xs = x[mid]
-        jm, y0, y1 = _miller(xs, max(m, int(_ASYM_SPLIT)) + 60, m)
+        jm, y0, y1 = _miller(xs, max(m, int(_ASYM_SPLIT)) + 60, m, every)
         if need_j:
-            jv[mid] = jm
+            put(jv, mid, jm)
         if need_y:
-            yv[mid] = _upward(y0, y1, m, xs)
+            put(yv, mid, _upward(y0, y1, m, xs, every))
 
-    if big.any() and m <= 1:
-        (jm, ym), = _jy_asym(x[big], (m,))
-        if need_j:
-            jv[big] = jm
-        if need_y:
-            yv[big] = ym
-    elif big.any():
+    if big.any():
         xs = x[big]
-        (j0, y0), (j1, y1) = _jy_asym(xs)
-        if need_y:
-            yv[big] = _upward(y0, y1, m, xs)
-        if need_j:
+        if m <= 1 and not every:
+            (jm, ym), = _jy_asym(xs, (m,))
+        else:
+            (j0, y0), (j1, y1) = _jy_asym(xs)
+            ym = _upward(y0, y1, m, xs, every) if need_y else None
             # Upward recurrence for J is stable only while m stays well
             # below x; otherwise fall back to downward recurrence.
-            jp = np.empty_like(xs)
             up = m <= 0.75 * xs
-            if up.any():
-                jp[up] = _upward(j0[up], j1[up], m, xs[up])
-            rest = ~up
-            if rest.any():
-                xr = xs[rest]
+            if need_j and up.all():
+                jm = _upward(j0, j1, m, xs, every)
+            elif need_j:
+                jm = np.empty(lead + xs.shape)
+                if up.any():
+                    put(jm, up, _upward(j0[up], j1[up], m, xs[up], every))
+                xr = xs[~up]
                 n_top = max(m, int(np.ceil(xr.max()))) + 60
-                jp[rest] = _miller(xr, n_top, m)[0]
-            jv[big] = jp
+                put(jm, ~up, _miller(xr, n_top, m, every)[0])
+        if need_j:
+            put(jv, big, jm)
+        if need_y:
+            put(yv, big, ym)
     return jv, yv
 
 
@@ -370,13 +361,7 @@ def bessel_j(m, x):
     """
     m = _check_order(m)
     flat, shape, scalar = _prep_x(x, positive=False)
-    out = np.empty_like(flat)
-    zero = flat == 0.0
-    if zero.any():
-        out[zero] = 1.0 if m == 0 else 0.0
-    pos = ~zero
-    if pos.any():
-        out[pos] = _jy_flat(m, flat[pos], True, False)[0]
+    out = _jy(m, flat, need_y=False)[0]
     if scalar:
         return float(out[0])
     return out.reshape(shape)
@@ -389,7 +374,7 @@ def bessel_y(m, x):
     """
     m = _check_order(m)
     flat, shape, scalar = _prep_x(x, positive=True)
-    out = _jy_flat(m, flat, False, True)[1]
+    out = _jy(m, flat, need_j=False)[1]
     if scalar:
         return float(out[0])
     return out.reshape(shape)
@@ -400,7 +385,7 @@ def hankel1(m, x):
     m = _check_order(m)
     flat, shape, scalar = _prep_x(x, positive=True)
     out = np.empty(flat.shape, dtype=complex)
-    out.real, out.imag = _jy_flat(m, flat, True, True)
+    out.real, out.imag = _jy(m, flat)
     if scalar:
         return complex(out[0])
     return out.reshape(shape)
@@ -409,28 +394,17 @@ def hankel1(m, x):
 def _hankel01(x):
     """(hankel1(0, x), hankel1(1, x)), bit for bit, from one pass per branch.
 
-    The two orders share the power series below _SERIES_SPLIT, one _miller
-    pass keeping J_0 and J_1 (from the same n_top as hankel1) in the middle
-    range, and the reduced phase, amplitude and cos/sin of the asymptotic
-    branch. Every branch works point by point, so the values do not depend
-    on which other points share the call, except that the power series
-    stops on a test over all of its points below _SERIES_SPLIT.
+    The pair is the every=True table of _jy at order 1: the two orders share
+    the power series below _SERIES_SPLIT, one _miller pass keeping J_0 and
+    J_1 (from the same n_top as hankel1) in the middle range, and the
+    reduced phase, amplitude and cos/sin of the asymptotic branch. Every
+    branch works point by point, so the values do not depend on which other
+    points share the call, except that the power series stops on a test
+    over all of its points below _SERIES_SPLIT.
     """
     flat, shape, scalar = _prep_x(x, positive=True)
-    jy = np.empty((4,) + flat.shape)  # J_0, J_1, Y_0, Y_1
-    small = flat < _SERIES_SPLIT
-    big = flat >= _ASYM_SPLIT
-    mid = ~(small | big)
-    if small.any():
-        jy[:, small] = _jy01_series(flat[small])
-    if mid.any():
-        j01, y0, y1 = _miller(flat[mid], int(_ASYM_SPLIT) + 60, 1, every=True)
-        jy[:, mid] = j01[0], j01[1], y0, y1
-    if big.any():
-        (j0, y0), (j1, y1) = _jy_asym(flat[big])
-        jy[:, big] = j0, j1, y0, y1
     out = np.empty((2,) + flat.shape, dtype=complex)
-    out.real, out.imag = jy[:2], jy[2:]
+    out.real, out.imag = _jy(1, flat, every=True)
     if scalar:
         return complex(out[0, 0]), complex(out[1, 0])
     return out[0].reshape(shape), out[1].reshape(shape)

@@ -22,7 +22,7 @@ from imfield import (
     j0_roots,
     hankel_asym_coeffs,
 )
-from imfield.specfun import _hankel01, _outgoing_design
+from imfield.specfun import _hankel01, _jy, _outgoing_design
 
 # Frozen oracle values (power-series oracle, 60-digit summation).
 J0_AT_1 = 0.7651976865579666
@@ -335,20 +335,41 @@ def test_miller_branch_memory_is_linear():
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), m_top=st.integers(1, 60))
 def test_every_order_table_matches_bessel_j(seed, m_top):
-    # the order table of the exterior expansion (one downward pass keeping
-    # every order, the power series below 0.25) against bessel_j, whose
-    # three branches split x at 0.25 and 17.5
+    # the order tables of _jy (one pass per branch keeping every order, as
+    # the exterior expansion takes J) against bessel_j and bessel_y order
+    # by order, on all three branches
     rng = np.random.default_rng(seed)
     x = np.concatenate([[0.0], rng.uniform(0.0, 0.25, 20),
                         rng.uniform(0.25, 17.5, 20),
                         rng.uniform(17.5, 60.0, 20)])
-    from imfield.specfun import _j_orders
-
-    table = _j_orders(m_top, x)
+    table = _jy(m_top, x, need_y=False, every=True)[0]
     assert table.shape == (m_top + 1, x.size)
     for m in range(m_top + 1):
         want = bessel_j(m, x)
         assert np.all(np.abs(table[m] - want) <= 5e-15 + 1e-12 * np.abs(want))
+    pos = x[x > 0.0]
+    ytable = _jy(m_top, pos, need_j=False, every=True)[1]
+    assert ytable.shape == (m_top + 1, pos.size)
+    for m in range(m_top + 1):
+        # the passes differ in n_top, so the tables agree to rounding only
+        assert np.allclose(ytable[m], bessel_y(m, pos), rtol=1e-12,
+                           atol=5e-15)
+
+
+@pytest.mark.parametrize("m", [171, 250])
+def test_orders_past_factorial_range(m):
+    # (x/2)^m / m! as a float quotient overflows from m = 171 on; a point
+    # below the series split must not fail the call. J_m underflows to 0
+    # and Y_m saturates to -inf where scipy's do.
+    x = np.array([0.1, 0.3, 5.0])
+    want_j, want_y = special.jv(m, x), special.yv(m, x)
+    for got_j, got_y in ((bessel_j(m, x), bessel_y(m, x)),
+                         (hankel1(m, x).real, hankel1(m, x).imag)):
+        assert np.allclose(got_j, want_j, rtol=1e-12, atol=0.0)
+        assert np.allclose(got_y, want_y, rtol=1e-12, atol=0.0)
+    assert bessel_j(m, 0.1) == bessel_j(m, 0.3) == 0.0
+    assert bessel_y(m, 0.1) == -np.inf
+    assert hankel1(m, 0.1) == complex(0.0, -np.inf)
 
 
 # ---------------------------------------------------------- H_0, H_1 pair
