@@ -46,6 +46,7 @@ from .farfield import (
     extract_all,
     farfield_to_dict,
     schedule_abscissas,
+    schedule_for,
 )
 from .fields import (
     RadiationField,
@@ -60,7 +61,6 @@ from .propagate import (
     HalfPlaneSpec,
     LineSpec,
     LineTrace,
-    _schedule_for_order,
     _stage,
     _stage_timings,
     _trusted_radius,
@@ -333,7 +333,8 @@ def _require_targets_in_halfplane(sc: Scenario, spec: HalfPlaneSpec):
 def _scenario_schedule(sc: Scenario) -> ExtractionSchedule:
     if sc.schedule is not None:
         return sc.schedule
-    sched = _schedule_for_order(sc.kappa, sc.order if sc.order else 0)
+    sched = schedule_for(sc.kappa, sc.order if sc.order else 0,
+                         sc.noise_sigma)
     if sc.tau is not None:
         sched = ExtractionSchedule(radii=sched.radii, tau=sc.tau,
                                    extrapolation_depth=sched.extrapolation_depth)

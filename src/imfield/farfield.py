@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ImSamples
+from .fields import ImSamples, RayGeometry
 from .specfun import _reduce_phase
 
 __all__ = [
     "FarFieldCoeffs",
     "ExtractionSchedule",
     "make_schedule",
+    "schedule_for",
     "schedule_abscissas",
     "weighted_im",
     "extract_f0_two_point",
@@ -129,6 +130,35 @@ def make_schedule(kappa: float, s0: float = None, growth: float = 2.0,
     else:
         radii = raw
     return ExtractionSchedule(radii=radii, tau=float(tau), extrapolation_depth=depth)
+
+
+def schedule_for(kappa: float, order: int, data_tol: float) -> ExtractionSchedule:
+    """Extraction schedule for f_0..f_order from samples accurate to data_tol.
+
+    Extracting f_j multiplies the absolute sample error data_tol by r^j, so
+    the top radius is r_max = (0.03 / data_tol)^(1/order). Exact data still
+    carry rounding and count as data_tol = 1e-10: at order 3, line
+    reconstructions worked alike with floors from 1e-12 to 1e-8, lost
+    accuracy at 1e-13 and failed more often from 1e-7 on. Below order 3 that
+    bound is loose (absent at order 0), so r_max is also held to 3e4 / kappa,
+    past which the rounding in the extrapolated f_0 and f_1 grows. Ten radii
+    run from max(3 wavelengths, r_max / 8) to r_max, snapped to whole
+    wavelengths, and tau is a quarter period. Raises ValueError when r_max
+    falls below 6 wavelengths: the usable radius window collapses.
+    """
+    if kappa <= 0 or data_tol < 0:
+        raise ValueError("kappa must be positive and data_tol >= 0")
+    lam = 2.0 * np.pi / kappa
+    tol = max(data_tol, 1e-10)
+    r_max = (0.03 / tol) ** (1.0 / order) if order else np.inf
+    if order <= 2:
+        r_max = min(r_max, 3e4 / kappa)
+    if r_max < 6.0 * lam:
+        raise ValueError("order too high for the sample accuracy: the "
+                         "usable radius window collapses")
+    s0 = max(3.0 * lam, r_max / 8.0)
+    growth = (r_max / s0) ** (1.0 / 9.0)
+    return make_schedule(kappa, s0=s0, growth=growth, count=10)
 
 
 def schedule_abscissas(schedule: ExtractionSchedule) -> np.ndarray:
@@ -330,10 +360,7 @@ def _shifted_samples(samples: ImSamples, q, theta, sign: int) -> ImSamples:
     abscissa is the distance from q, and values are re-weighted from
     sqrt(|x|) (global frame) to sqrt(|x - q|).
     """
-    ray = samples.ray
-    o = np.asarray(ray.origin)
-    d = ray.orientation * np.asarray(ray.direction)
-    pts = o + np.multiply.outer(samples.abscissas, d)
+    pts = samples.ray.point(samples.abscissas)
     xi = (pts - q) @ (sign * np.asarray(theta))
     if np.any(xi <= 0):
         raise ValueError("a sample lies on the wrong side of the shift point")
@@ -342,8 +369,6 @@ def _shifted_samples(samples: ImSamples, q, theta, sign: int) -> ImSamples:
         raise ValueError("a sample sits at the global origin; cannot re-weight")
     vals = samples.values * np.sqrt(xi / r_global)
     order = np.argsort(xi)
-    from .fields import RayGeometry
-
     new_ray = RayGeometry(origin=(float(q[0]), float(q[1])),
                           direction=(float(sign * theta[0]),
                                      float(sign * theta[1])))

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .farfield import ExtractionSchedule, make_schedule, extract_all
+from .farfield import ExtractionSchedule, extract_all, schedule_for
 from .fields import ImSamples
 from .karp import KarpCoeffs, eval_karp, karp_from_farfield
 from .specfun import _outgoing_design, hankel1
@@ -516,24 +516,6 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
     return psi
 
 
-def _schedule_for_order(kappa: float, order: int) -> ExtractionSchedule:
-    """Extraction schedule whose top radius keeps r^n-amplified rounding small.
-
-    Extracting f_n multiplies double rounding by r^n, so the largest radius
-    is capped at (1e-3 / eps)^(1/n); below order 3 the standard schedule is
-    already safe.
-    """
-    if order <= 2:
-        return make_schedule(kappa)
-    lam = 2.0 * np.pi / kappa
-    r_max = (1e-3 / 2.22e-16) ** (1.0 / order)
-    s0 = max(20.0 * lam, r_max / 2.0 ** 9)
-    if s0 * 1.2 ** 9 > r_max:
-        raise ValueError("no radius window supports this order; lower it")
-    growth = (r_max / s0) ** (1.0 / 9.0)
-    return make_schedule(kappa, s0=s0, growth=growth, count=10)
-
-
 # summed wall seconds per stage label inside the innermost _stage_timings
 # block; None outside any block
 _STAGE_TIMES = contextvars.ContextVar("stage_times", default=None)
@@ -579,7 +561,9 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     the Karp gap feeds the completion fit there, so the sample set should
     also cover the near segment of the line at >= 10 points per wavelength.
     The sources must lie near the global origin on the non-V_L side of the
-    line (the geometry of every supported scenario). The trace half-length
+    line (the geometry of every supported scenario). Without a schedule,
+    schedule_for builds one for the larger noise_sigma of the two sample
+    sets, so noisier data are read at smaller radii. The trace half-length
     S is the Karp trusted radius plus the Karp origin's distance along the
     line plus 12 wavelengths, and at least 50 wavelengths; it grows further
     when a target's foot on the line (or the origin's) would come within 5
@@ -588,7 +572,8 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     """
     kappa = samples_plus.kappa
     if schedule is None:
-        schedule = _schedule_for_order(kappa, order)
+        schedule = schedule_for(kappa, order, max(samples_plus.noise_sigma,
+                                                  samples_minus.noise_sigma))
     p0 = np.asarray(spec.line.point)
     t = np.asarray(spec.line.theta)
     pts_list, im_list = [], []
@@ -602,7 +587,7 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
         if abs(abs(float(d @ t)) - 1.0) > 1e-12:
             raise ValueError(f"{name} ray is not parallel to spec.line")
         # undo the sqrt(|x|) weighting to recover Im psi at the sample points
-        pts = o[None, :] + s_set.abscissas[:, None] * d[None, :]
+        pts = s_set.ray.point(s_set.abscissas)
         rad = np.hypot(pts[:, 0], pts[:, 1])
         ok = rad > 1e-12
         pts_list.append(pts[ok])

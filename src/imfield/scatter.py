@@ -75,7 +75,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
 from .fields import ImSamples, RayGeometry
-from .farfield import extract_all, make_schedule, schedule_abscissas
+from .farfield import extract_all, schedule_abscissas, schedule_for
 from .karp import karp_from_farfield
 from .propagate import (HalfPlaneSpec, LineSpec, _karp_line_traces,
                         _trace_half_length, _trusted_radius)
@@ -728,24 +728,6 @@ class GklReport:
     defect_direct: float
 
 
-def _noise_schedule(kappa, order, data_tol):
-    """Extraction schedule matched to the accuracy of the supplied samples.
-
-    Estimating the j-th far-field coefficient amplifies sample errors by
-    r^j, so the top radius is capped at (0.03 / data_tol)^(1/order); the
-    machine-accuracy default schedules would turn solver-grade data into
-    noise in the high coefficients.
-    """
-    lam = 2.0 * np.pi / kappa
-    r_max = (0.03 / data_tol) ** (1.0 / order)
-    if r_max < 6.0 * lam:
-        raise ValueError("order too high for the sample accuracy: the "
-                         "usable radius window collapses")
-    s0 = max(3.0 * lam, r_max / 8.0)
-    growth = (r_max / s0) ** (1.0 / 9.0)
-    return make_schedule(kappa, s0=s0, growth=growth, count=10)
-
-
 def _offdiag_scale(table):
     mask = ~np.eye(table.shape[0], dtype=bool)
     return float(np.max(np.abs(table[mask])))
@@ -783,7 +765,7 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
-    default) and bounds the extraction radii.
+    default), from which schedule_for sets the extraction radii.
     """
     if not isinstance(line, LineSpec):
         raise ValueError("line must be a LineSpec")
@@ -809,7 +791,7 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     s_pts = np.linspace(s_min, s_max, n_points)
     lam_pts = p0 + np.multiply.outer(s_pts, theta)
 
-    schedule = _noise_schedule(kappa, order, data_tol)
+    schedule = schedule_for(kappa, order, data_tol)
     sched_abs = schedule_abscissas(schedule)
     ray_plus = RayGeometry(origin=tuple(origin), direction=tuple(theta))
     ray_minus = RayGeometry(origin=tuple(origin), direction=tuple(-theta))

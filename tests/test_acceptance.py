@@ -44,9 +44,9 @@ from imfield import (
     sample_im_on_ray,
     scattering_amplitude,
     schedule_abscissas,
+    schedule_for,
     solve_lippmann_schwinger,
 )
-from imfield.propagate import _schedule_for_order
 
 
 def _karp_of(field, phi, n):
@@ -68,7 +68,7 @@ def _two_ray_samples(field, order):
     """Schedule radii plus dense near-line coverage on y = -2, both rays."""
     kappa = field.kappa
     lam = 2.0 * np.pi / kappa
-    sched = _schedule_for_order(kappa, order)
+    sched = schedule_for(kappa, order, 0.0)
     dense = np.arange(lam / 24.0, 80.0, lam / 12.0)
     s_absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
     out = []

@@ -254,6 +254,28 @@ def test_pipeline_point_source_demo(tmp_path):
     assert not (out / "coefficients.json").exists()
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1e-12, 1e-9])
+def test_pipeline_noise_sets_schedule(tmp_path, sigma):
+    # a line-recon-like request at kappa 7.5: the default schedule follows
+    # noise.sigma, so the r^3-amplified noise in f_3 stays small and the
+    # Karp gap stays inside the 128 wavelengths of data. A schedule built
+    # for exact data at every sigma fails here at sigma = 1e-9, at [trace].
+    kappa = 7.5
+    lam = 2.0 * np.pi / kappa
+    path = write_scenario(tmp_path, {
+        "kappa": kappa,
+        "field": {"terms": [{"type": "multipole", "m": 1, "c": [0.98, -0.18]},
+                            {"type": "multipole", "m": 0, "c": [0.015, -0.25]}],
+                  "source_radius": 0.5},
+        "line": {"point": [0.0, -2.25], "direction": [1.0, 0.0]},
+        "order": 3, "interval": [-128.0 * lam, 128.0 * lam],
+        "targets": [[1.0, -4.0], [-3.0, -6.0], [5.0, -3.0]],
+        "noise": {"sigma": sigma, "seed": 7}}, name="noisy")
+    out = tmp_path / "out"
+    assert run_scenario(path, "pipeline", out_dir=out, quiet=True) == 0
+    assert read_report(out)["metrics"]["max_rel_err"] <= 1e-2
+
+
 def test_scatter_command(tmp_path):
     path = write_scenario(tmp_path, {
         "kappa": 4.0, "potential": gaussian_potential_dict()}, name="sc")

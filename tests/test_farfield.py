@@ -37,9 +37,9 @@ from imfield.farfield import (
     farfield_to_dict,
     make_schedule,
     schedule_abscissas,
+    schedule_for,
     weighted_im,
 )
-from imfield.propagate import _schedule_for_order
 
 KAPPA = 5.0
 TAU = np.pi / (2.0 * KAPPA)
@@ -285,6 +285,43 @@ def test_make_schedule_no_snap():
     assert np.allclose(sched.radii, [50.0, 150.0, 450.0, 1350.0])
 
 
+@pytest.mark.parametrize("kappa, multiples", [
+    (2.0, [3, 4, 5, 6, 7, 8, 9, 10]),
+    (4.0, [3, 4, 5, 6, 7, 9, 11, 13, 16, 20]),
+])
+def test_schedule_for_solver_grade_radii(kappa, multiples):
+    # the radii gkl_reduce has always used at its default data_tol, in
+    # wavelengths: r_max = (0.03 / 1e-6)^(1/3) = 31.1, from 3 wavelengths up
+    lam = 2.0 * np.pi / kappa
+    sched = schedule_for(kappa, 3, 1e-6)
+    assert np.array_equal(sched.radii, np.array(multiples, dtype=float) * lam)
+    assert sched.tau == np.pi / (2.0 * kappa)
+    assert sched.extrapolation_depth == 3
+
+
+def test_schedule_for_floor_and_low_order_cap():
+    # exact data counts as 1e-10: top radius (3e8)^(1/3) = 669 at order 3
+    exact = schedule_for(KAPPA, 3, 0.0)
+    assert np.array_equal(exact.radii, schedule_for(KAPPA, 3, 1e-12).radii)
+    assert np.array_equal(exact.radii, schedule_for(KAPPA, 3, 1e-10).radii)
+    assert abs(exact.radii[-1] - 669.0) <= 2.0 * np.pi / KAPPA
+    # below order 3 the radii stop at 3e4 / kappa, order 0 included
+    for order in (0, 1, 2):
+        top = schedule_for(KAPPA, order, 0.0).radii[-1]
+        assert abs(top - 3e4 / KAPPA) <= 2.0 * np.pi / KAPPA
+
+
+def test_schedule_for_window_collapse():
+    # (0.03 / 1e-6)^(1/9) = 3.1 is below 6 wavelengths (9.4) at kappa 4
+    with pytest.raises(ValueError, match="usable radius window collapses"):
+        schedule_for(4.0, 9, 1e-6)
+    with pytest.raises(ValueError, match="usable radius window collapses"):
+        schedule_for(4.0, 3, 1e-2)
+    for bad in ((-1.0, 3, 0.0), (KAPPA, -1, 0.0), (KAPPA, 3, -1e-9)):
+        with pytest.raises(ValueError):
+            schedule_for(*bad)
+
+
 def test_schedule_abscissas_pairing():
     sched = make_schedule(KAPPA, s0=100.0, count=3)
     absc = schedule_abscissas(sched)
@@ -464,7 +501,7 @@ def test_extract_all_matches_scalar_recursion(n):
     # both rays start at the origin, so the frame shift leaves the samples
     # unchanged and each ray's recursion sees the same data as extract_all
     field = _mix_field()
-    sched = _schedule_for_order(KAPPA, max(n, 3))
+    sched = schedule_for(KAPPA, max(n, 3), 0.0)
     absc = schedule_abscissas(sched)
     sp = _samples_on_x(field, absc, +1)
     sm = _samples_on_x(field, absc, -1)
@@ -513,10 +550,12 @@ def test_extract_all_names_missing_abscissa():
 
 # Values of the same computations before the extraction was batched over
 # radii and rays; the batched two-point solves change only the last bits,
-# which the r^j weights amplify.
-FROZEN_RECON = [0.030652173027372304 + 0.03904812333559152j,
-                -0.0518239413998171 + 0.057873230985671445j,
-                0.033092007841475396 - 0.001686565226307799j]
+# which the r^j weights amplify. FROZEN_RECON is taken on schedule_for's
+# exact-data radii (top radius 669); its errors against eval_field are
+# 6.0e-4, 5.9e-5 and 3.4e-4.
+FROZEN_RECON = [0.03065296429901254 + 0.039048391594143576j,
+                -0.051823953370332417 + 0.05787332151012893j,
+                0.033092211368360124 - 0.0016862103335365973j]
 FROZEN_GKL = [[np.nan, -0.05654663033936316 - 0.01066371353480365j,
                -0.03864293882578211 + 0.01541074081696819j],
               [-0.05654675077995832 - 0.010663710288305216j, np.nan,
@@ -529,7 +568,7 @@ def test_reconstruct_and_gkl_match_frozen_values():
     lam = 2.0 * np.pi / KAPPA
     field = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),
                                   Multipole(2, 0.4 - 0.2j)), kappa=KAPPA)
-    sched = _schedule_for_order(KAPPA, 3)
+    sched = schedule_for(KAPPA, 3, 0.0)
     absc = np.unique(np.concatenate([np.arange(lam / 24, 80.0, lam / 12),
                                      schedule_abscissas(sched)]))
     sp, sm = (sample_im_on_ray(field, RayGeometry(origin=(0.0, -2.0),

@@ -29,9 +29,9 @@ from imfield import (
     reconstruct_from_im,
     sample_im_on_ray,
     schedule_abscissas,
+    schedule_for,
 )
-from imfield.propagate import (_karp_line_traces, _schedule_for_order,
-                               _trusted_radius)
+from imfield.propagate import _karp_line_traces, _trusted_radius
 from imfield.specfun import _hankel01, _outgoing_design
 
 KAPPA = 5.0
@@ -58,7 +58,7 @@ def _gap_data(field, bound=80.0):
 
 def _scenario_samples(field, order):
     """Two-ray samples from (0,-2): extraction radii plus dense gap coverage."""
-    sched = _schedule_for_order(KAPPA, order)
+    sched = schedule_for(KAPPA, order, 0.0)
     dense = np.arange(LAM / 24, 80.0, LAM / 12)
     s_absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
     out = []
@@ -443,7 +443,7 @@ def test_karp_line_trace_validation():
 def test_reconstruct_zero_samples():
     s_absc = np.unique(np.concatenate(
         [np.arange(LAM / 24, 80.0, LAM / 12),
-         schedule_abscissas(_schedule_for_order(KAPPA, 2))]))
+         schedule_abscissas(schedule_for(KAPPA, 2, 0.0))]))
     zeros = np.zeros(s_absc.size)
     sp = ImSamples(ray=RayGeometry(origin=(0.0, -2.0), direction=(1.0, 0.0)),
                    abscissas=s_absc, values=zeros, kappa=KAPPA)
@@ -467,6 +467,24 @@ def test_reconstruct_point_source_scenario():
     for x, g in zip(targets, got):
         ref = complex(eval_field(ps, x))
         assert abs(g - ref) <= 1e-2 * abs(ref), f"target {x}"
+
+
+def test_reconstruct_default_schedule_follows_noise():
+    # the samples hold only the sigma = 1e-9 schedule (top radius 311) next
+    # to the dense 80 units, so the exact-data schedule (top radius 669)
+    # would miss its abscissas: the default must come from noise_sigma
+    ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
+    s_absc = np.unique(np.concatenate(
+        [np.arange(LAM / 24, 80.0, LAM / 12),
+         schedule_abscissas(schedule_for(KAPPA, 3, 1e-9))]))
+    sp, sm = (sample_im_on_ray(ps, RayGeometry(origin=(0.0, -2.0),
+                                               direction=(d, 0.0)),
+                               s_absc, 1e-9 if d > 0 else 1e-12, 3)
+              for d in (1.0, -1.0))
+    target = np.array([0.5, -4.0])
+    got, = reconstruct_from_im(sp, sm, 3, SPEC, [target])
+    ref = complex(eval_field(ps, target))
+    assert abs(got - ref) <= 1e-2 * abs(ref)
 
 
 def test_reconstruct_two_multipole_scenario():
@@ -574,7 +592,7 @@ def _moved_reconstruction(field, order, move, targets):
     p0, theta = move @ np.array([0.0, -2.0]), move @ np.array([1.0, 0.0])
     spec = HalfPlaneSpec(line=LineSpec(point=tuple(p0), theta=tuple(theta)),
                          normal=tuple(move @ np.array([0.0, 1.0])))
-    sched = _schedule_for_order(KAPPA, order)
+    sched = schedule_for(KAPPA, order, 0.0)
     dense = np.arange(LAM / 24, 80.0, LAM / 12)
     absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
     sp, sm = (sample_im_on_ray(moved, RayGeometry(origin=tuple(p0),

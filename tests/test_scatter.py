@@ -24,7 +24,7 @@ from imfield import (
     solve_lippmann_schwinger,
 )
 from imfield import scatter
-from imfield.farfield import schedule_abscissas
+from imfield.farfield import schedule_abscissas, schedule_for
 from imfield.scatter import _SolverCore, _log_rect_integral, _weight_rows
 from imfield.specfun import _reduce_phase
 
@@ -619,7 +619,7 @@ def test_gkl_gap_rows_built_once(monkeypatch):
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
         n_ray = schedule_abscissas(
-            scatter._noise_schedule(grid.kappa, 3, 1e-6)).size
+            schedule_for(grid.kappa, 3, 1e-6)).size
         assert len(calls) == 2
         assert calls[0] == (n_points + 2 * n_ray, 2)
         assert calls[1][0] % 2 == 0 and calls[1][1:] == (2,)
