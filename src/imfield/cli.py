@@ -372,7 +372,7 @@ def _run_synth(sc: Scenario) -> _RunResult:
 
 
 def _extract_pair(sc: Scenario):
-    sched = _scenario_schedule(sc)
+    sched = _stage("extract", _scenario_schedule, sc)
     s_absc = schedule_abscissas(sched)
     sp, sm = _ray_samples(sc, s_absc)
     ff = _stage("extract", extract_all, sp, sm, sc.order, sched)
@@ -543,7 +543,7 @@ def _run_pipeline(sc: Scenario) -> _RunResult:
     spec = _halfplane_toward(sc.line, (0.0, 0.0))
     _require_targets_in_halfplane(sc, spec)
     lam = 2.0 * np.pi / sc.kappa
-    sched = _scenario_schedule(sc)
+    sched = _stage("extract", _scenario_schedule, sc)
     extent = 64.0 * lam
     if sc.interval is not None:
         extent = max(abs(sc.interval[0]), abs(sc.interval[1]))

@@ -10,11 +10,11 @@ and weighted imaginary-part samples I(x) = sqrt(|x|) Im(psi(x)) along rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import bessel_j, bessel_y, hankel1, hankel_asym_coeffs, j0_roots
+from .specfun import bessel_j, hankel1, hankel_asym_coeffs, j0_roots
 
 __all__ = [
     "Multipole",

@@ -376,27 +376,35 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     = Im psi there must cover the gap at >= 10 samples per wavelength.
     The fit uses multipole orders |m| <= kc.order + 2; higher counts
     overfit the flanks.
-    A RuntimeError reports an inconsistent completion (fit residual > 5%).
+    A RuntimeError reports a trusted start plus 10-wavelength fit band
+    past S, or an inconsistent completion (fit residual > 5%).
     """
+    if np.any(kc.F) or np.any(kc.G):  # a zero series has no gap
+        s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
+        xi_gap = _trusted_radius(kc)
+        if xi_gap + 10.0 * (2.0 * np.pi / kc.kappa) > S - abs(s_q):
+            raise RuntimeError(
+                f"Karp series is trusted only beyond {xi_gap:.3g} from "
+                f"its origin, too far out for trace half-length S={S:.3g}")
     if im_values is not None:
         im_values = np.expand_dims(np.asarray(im_values, dtype=float), -1)
-    psi = _karp_line_traces([kc], spec, [S], im_points, im_values, gap_center)
+    psi = _karp_line_traces([kc], spec, im_points, im_values, gap_center)
     return LineTrace(S=S, func=lambda s: psi(s)[..., 0])
 
 
-def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
+def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
                       im_values=None, gap_center=None):
     """Line traces of several Karp series of one frame, one column each.
 
     The series must share kappa, phi, origin_shift and order (the Karp
-    conversions of one ray pair, one per source); S holds each trace's
-    half-length and im_values (N x len(kcs)) one column of imaginary parts
-    per series at the shared im_points. Each series gets the checks and the
-    gap completion of karp_line_trace, its one-series case, in series
-    order. The multipole design of each shared point set (the measured
-    points in any gap, the union of the flank bands, and the evaluation
-    points in any gap) is built once, and each series takes its own rows,
-    which are exactly the rows a design of its points alone would hold.
+    conversions of one ray pair, one per source); im_values (N x len(kcs))
+    holds one column of imaginary parts per series at the shared
+    im_points. Each series gets the gap checks and completion of its
+    karp_line_trace, in series order. The multipole design of each shared
+    point set (the measured points in any gap, the union of the flank
+    bands, and the evaluation points in any gap) is built once, and each
+    series takes its own rows, which are exactly the rows a design of its
+    points alone would hold.
     Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
     """
     kc0 = kcs[0]
@@ -420,15 +428,8 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, S, im_points=None,
 
     # trusted radius of each series with terms; a zero series has no gap
     # and a zero trace
-    xi_gaps = {}
-    for j, (kc, S_j) in enumerate(zip(kcs, S)):
-        if not (np.any(kc.F) or np.any(kc.G)):
-            continue
-        xi_gaps[j] = _trusted_radius(kc)
-        if xi_gaps[j] + 10.0 * lam > S_j - abs(s_q):
-            raise RuntimeError(
-                f"Karp series is trusted only beyond {xi_gaps[j]:.3g} from "
-                f"its origin, too far out for trace half-length S={S_j:.3g}")
+    xi_gaps = {j: _trusted_radius(kc) for j, kc in enumerate(kcs)
+               if np.any(kc.F) or np.any(kc.G)}
 
     def line_point(xi):
         return q + np.multiply.outer(xi, theta_k)

@@ -58,11 +58,12 @@ the log primitive cancel as |x - z| / h grows.
 gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
-from Omega only, so its weighted imaginary part on the line's two rays
-feeds the far-field extraction / Karp / line-trace pipeline, and G is added
-back at the end. One field with a column per source evaluates D in two
-calls, the line points with both rays and then the gap lattice, and the
-traces of all sources share one multipole design per point set.
+from Omega only, and G is added back at the end. One field with a column
+per source evaluates D in two calls, the line points with both rays and
+then the gap lattice. The rays leave the foot q of the support centre at
+the extraction's own abscissas s, so sqrt(s) Im D of all sources feeds
+one batched far-field extraction in the Karp frame at q, and the traces
+of all sources share one multipole design per point set.
 """
 
 from __future__ import annotations
@@ -74,11 +75,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
-from .fields import ImSamples, RayGeometry
-from .farfield import extract_all, schedule_abscissas, schedule_for
+from .farfield import (FarFieldCoeffs, _extract_orders, _pair_abscissas,
+                       schedule_for)
 from .karp import karp_from_farfield
 from .propagate import (HalfPlaneSpec, LineSpec, _karp_line_traces,
-                        _trace_half_length, _trusted_radius)
+                        _trusted_radius)
 
 __all__ = [
     "PotentialGrid",
@@ -759,9 +760,10 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     Lambda is n_points equally spaced points of the interval (given in the
     line's abscissa). For each source y in Lambda the free part is removed,
     D = R + G, whose imaginary part on the line is Im R + (1/4) J_0(kappa
-    |x - y|); D radiates from Omega only, so weighted samples of Im D on the
-    line's two rays run through the far-field / Karp / trace pipeline, and
-    the recovered D is turned back into R by subtracting G analytically.
+    |x - y|); D radiates from Omega only. Samples sqrt(s) Im D on the
+    line's two rays, s the distance from the foot of the support centre,
+    feed one batched far-field extraction in that Karp frame, then a Karp
+    series and a line trace per source; subtracting G turns D into R.
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
@@ -791,14 +793,10 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     s_pts = np.linspace(s_min, s_max, n_points)
     lam_pts = p0 + np.multiply.outer(s_pts, theta)
 
+    # both rays leave the Karp origin (the foot of the support center)
     schedule = schedule_for(kappa, order, data_tol)
-    sched_abs = schedule_abscissas(schedule)
-    ray_plus = RayGeometry(origin=tuple(origin), direction=tuple(theta))
-    ray_minus = RayGeometry(origin=tuple(origin), direction=tuple(-theta))
-    pts_plus = origin + np.multiply.outer(sched_abs, theta)
-    pts_minus = origin - np.multiply.outer(sched_abs, theta)
-    rad_plus = np.hypot(pts_plus[:, 0], pts_plus[:, 1])
-    rad_minus = np.hypot(pts_minus[:, 0], pts_minus[:, 1])
+    pair = _pair_abscissas(schedule.radii, schedule.tau)
+    ray_pts = origin + np.multiply.outer(np.stack([pair, -pair]), theta)
 
     # D = R + G on the line points, column j for source j: recovered from
     # the line data, and read directly off the interior solution
@@ -813,19 +811,17 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
                               grid.cell_size)
         # one call for the line points and both rays, one for the gap
         # lattice, each for every source at once
-        d_direct, d_plus, d_minus = np.split(
-            d_field.correction(np.vstack([lam_pts, pts_plus, pts_minus])),
-            [n_points, n_points + sched_abs.size])
-        karps = []
-        for j in range(n_points):
-            sp = ImSamples(ray=ray_plus, abscissas=sched_abs,
-                           values=np.sqrt(rad_plus) * d_plus[:, j].imag,
-                           kappa=kappa)
-            sm = ImSamples(ray=ray_minus, abscissas=sched_abs,
-                           values=np.sqrt(rad_minus) * d_minus[:, j].imag,
-                           kappa=kappa)
-            karps.append(karp_from_farfield(extract_all(sp, sm, order,
-                                                        schedule)))
+        d_all = d_field.correction(np.vstack([lam_pts,
+                                              ray_pts.reshape(-1, 2)]))
+        d_direct = d_all[:n_points]
+        # weighted samples sqrt(s) Im D, shape (sources, 2 rays, 2, R)
+        data = np.sqrt(pair) * d_all[n_points:].imag.T.reshape(
+            (n_points, 2) + pair.shape)
+        coeffs = _extract_orders(data, order, schedule, kappa)
+        phi = np.arctan2(theta[1], theta[0])
+        karps = [karp_from_farfield(FarFieldCoeffs(
+            kappa=kappa, phi=phi, f_plus=fp, f_minus=fm,
+            origin_shift=tuple(origin))) for fp, fm in coeffs]
         xi_gaps = [_trusted_radius(kc) for kc in karps]
         # one dense two-sided lambda/12 lattice covering every source's gap;
         # each trace keeps only the points inside its own gap
@@ -835,9 +831,8 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         gap_pts = origin + np.multiply.outer(xs, theta)
         im_gap = d_field.correction(gap_pts).imag
         # every source's trace from one multipole design per point set
-        traces = _karp_line_traces(
-            karps, spec, [_trace_half_length(kc, line) for kc in karps],
-            im_points=gap_pts, im_values=im_gap, gap_center=tuple(center))
+        traces = _karp_line_traces(karps, spec, im_points=gap_pts,
+                                   im_values=im_gap, gap_center=tuple(center))
         d_recovered = traces(s_pts)
 
     # R = D - G off the diagonal, where G(x_i - x_j) is finite

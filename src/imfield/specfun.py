@@ -21,6 +21,7 @@ All evaluation functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,15 +117,17 @@ def _j_series(top: int, x: np.ndarray) -> np.ndarray:
     """J_0..J_top by the defining power series, shape (top + 1, len(x));
     adequate for x below ~1.
 
-    The leading terms (x/2)^m / m! are built by a running product, so for
-    large orders they underflow to zero instead of overflowing, and J_m(0)
+    The leading terms (x/2)^m / m! are a power times 1 / m! (one rounding
+    by Python's integer division, which cannot overflow): they round about
+    twice at any order, underflow to zero for large orders, and J_m(0)
     comes out exact. All orders share one stopping test, which the slowest
     converging order 0 decides.
     """
     half = 0.5 * x
     orders = np.arange(top + 1)[:, None]
-    term = np.cumprod(np.vstack([np.ones_like(half), half / orders[1:]]),
-                      axis=0)
+    # numpy squares half ** 2: J_2 leads with half * half / 2, rounded once
+    term = np.stack([half ** m * (1 / math.factorial(m))
+                     for m in range(top + 1)])
     total = term.copy()
     hsq = half * half
     for k in range(1, 24):

@@ -276,6 +276,24 @@ def test_pipeline_noise_sets_schedule(tmp_path, sigma):
     assert read_report(out)["metrics"]["max_rel_err"] <= 1e-2
 
 
+def test_pipeline_collapsed_window_is_an_extract_failure(tmp_path):
+    # at kappa 5, order 3 and sigma 1e-4 the usable radius window of the
+    # default schedule collapses; building it is part of the extract stage,
+    # so the error carries its label and the report its timing
+    path = write_scenario(tmp_path, {
+        "kappa": 5.0,
+        "field": {"terms": [{"type": "point_source", "y0": [0.3, 0.2],
+                             "c": [1.0, 0.0]}], "source_radius": 0.5},
+        "line": {"point": [0.0, -2.0], "direction": [1.0, 0.0]},
+        "order": 3, "targets": [[1.0, -4.0]],
+        "noise": {"sigma": 1e-4, "seed": 3}}, name="collapsed")
+    out = tmp_path / "out"
+    assert run_scenario(path, "pipeline", out_dir=out, quiet=True) == 3
+    rep = read_report(out)
+    assert rep["error"].startswith("[extract]")
+    assert "extract_s" in rep["timings"]
+
+
 def test_scatter_command(tmp_path):
     path = write_scenario(tmp_path, {
         "kappa": 4.0, "potential": gaussian_potential_dict()}, name="sc")

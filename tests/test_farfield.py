@@ -28,6 +28,8 @@ from imfield import (
 from imfield.farfield import (
     ExtractionSchedule,
     FarFieldCoeffs,
+    _extract_orders,
+    _pair_abscissas,
     extract_all,
     extract_f0_two_point,
     extract_least_squares,
@@ -513,6 +515,26 @@ def test_extract_all_matches_scalar_recursion(n):
             # the rounding r^j amplifies, as the RuntimeWarning bounds it
             tol = 100.0 * 2.22e-16 * scale * sched.radii[-1] ** j
             assert abs(got[j] - want[j]) <= tol
+
+
+def test_extract_orders_batched_rows_match_single_rows():
+    # gkl_reduce extracts every source at once from (k, 2, 2, R) data; each
+    # row of the batch gets the bits it gets when extracted alone
+    sched = schedule_for(KAPPA, 3, 1e-6)
+    s = _pair_abscissas(sched.radii, sched.tau)
+    fields = [_mix_field(),
+              RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA),
+              RadiationField(terms=(PointSource((-0.2, 0.1), 0.5 - 0.7j),
+                                    Multipole(1, 0.3)), kappa=KAPPA)]
+    data = np.stack([[np.sqrt(s) * eval_field(
+        f, np.stack([sign * s, np.zeros(s.shape)], axis=-1)).imag
+        for sign in (+1, -1)] for f in fields])
+    assert data.shape == (3, 2, 2, sched.radii.size)
+    batched = _extract_orders(data, 3, sched, KAPPA)
+    assert batched.shape == (3, 2, 4)
+    for row, got in zip(data, batched):
+        one = _extract_orders(row, 3, sched, KAPPA)
+        assert np.array_equal(got.view(np.uint64), one.view(np.uint64))
 
 
 def _zero_pair(sched):

@@ -381,7 +381,7 @@ def test_multi_series_trace_matches_single_series_bytes():
                     + [np.zeros(pts.shape[0])], axis=1)
     S = [200 * LAM, 210 * LAM, 220 * LAM, 230 * LAM]
     s = np.linspace(-150.0, 150.0, 4001)
-    got = _karp_line_traces(kcs, SPEC, S, im_points=pts, im_values=vals)(s)
+    got = _karp_line_traces(kcs, SPEC, im_points=pts, im_values=vals)(s)
     assert got.shape == (s.size, 4)
     for j, kc in enumerate(kcs):
         one = karp_line_trace(kc, SPEC, S[j], im_points=pts,
@@ -392,7 +392,7 @@ def test_multi_series_trace_matches_single_series_bytes():
     other = KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=kcs[0].F[:3],
                        G=kcs[0].G[:3], origin_shift=kcs[0].origin_shift)
     with pytest.raises(ValueError):  # series of another order
-        _karp_line_traces([kcs[0], other], SPEC, S[:2], im_points=pts,
+        _karp_line_traces([kcs[0], other], SPEC, im_points=pts,
                           im_values=vals[:, :2])
 
 

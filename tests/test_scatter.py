@@ -23,8 +23,8 @@ from imfield import (
     scattering_amplitude,
     solve_lippmann_schwinger,
 )
-from imfield import scatter
-from imfield.farfield import schedule_abscissas, schedule_for
+from imfield import farfield, propagate, scatter
+from imfield.farfield import schedule_for
 from imfield.scatter import _SolverCore, _log_rect_integral, _weight_rows
 from imfield.specfun import _reduce_phase
 
@@ -602,27 +602,44 @@ def test_gkl_gap_rows_built_once(monkeypatch):
     # later sources on this line need a wider Karp gap than earlier ones;
     # the volume term is still evaluated in two calls, each for every
     # source at once: the line points with both rays, then one gap lattice
-    # covering every source
+    # covering every source. Every source is extracted in one batched
+    # _extract_orders pass, with no per-source extract_all
     grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
     solve_lippmann_schwinger(grid, (0.0, -2.0))  # factor the core up front
-    calls = []
+    calls, extractions = [], []
     real = scatter.VolumeField.correction
+    real_orders = farfield._extract_orders
+    real_all = farfield.extract_all
 
     def counting(self, x):
         calls.append(np.shape(x))
         return real(self, x)
 
+    def counting_orders(data, *args):
+        extractions.append(("orders", data.shape))
+        return real_orders(data, *args)
+
+    def counting_all(*args):
+        extractions.append("extract_all")
+        return real_all(*args)
+
     monkeypatch.setattr(scatter.VolumeField, "correction", counting)
+    # extract_all reaches _extract_orders through farfield's own name
+    monkeypatch.setattr(farfield, "_extract_orders", counting_orders)
+    monkeypatch.setattr(scatter, "_extract_orders", counting_orders)
+    for mod in (farfield, propagate):
+        monkeypatch.setattr(mod, "extract_all", counting_all)
     for n_points in (3, 5):
         calls.clear()
+        extractions.clear()
         report = gkl_reduce(grid, LINE, (-1.0, 4.0), order=3,
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
-        n_ray = schedule_abscissas(
-            schedule_for(grid.kappa, 3, 1e-6)).size
+        n_ray = 2 * schedule_for(grid.kappa, 3, 1e-6).radii.size
         assert len(calls) == 2
         assert calls[0] == (n_points + 2 * n_ray, 2)
         assert calls[1][0] % 2 == 0 and calls[1][1:] == (2,)
+        assert extractions == [("orders", (n_points, 2, 2, n_ray // 2))]
 
 
 def test_gkl_free_table_is_one_hankel_call(monkeypatch):

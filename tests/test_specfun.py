@@ -8,6 +8,7 @@ Reference values were computed from independent oracles and frozen here:
     Y_0(x) = -(2/pi) * int_0^inf cos(x cosh t) dt, evaluated at test time.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from imfield import (
     j0_roots,
     hankel_asym_coeffs,
 )
+from imfield import specfun
 from imfield.specfun import _hankel01, _jy, _outgoing_design
 
 # Frozen oracle values (power-series oracle, 60-digit summation).
@@ -56,6 +58,47 @@ def test_j_high_order_stability():
     # Minimal-solution values recovered with full relative accuracy.
     assert abs(bessel_j(60, 30.0) - J60_AT_30) <= 1e-11 * abs(J60_AT_30)
     assert abs(bessel_j(40, 10.0) - J40_AT_10) <= 1e-11 * abs(J40_AT_10)
+
+
+# points below the series split where J_60 stays a normal float
+SERIES_X = np.linspace(0.02, 0.25, 300, endpoint=False)
+
+
+@pytest.mark.parametrize("m", [20, 40, 60])
+def test_j_series_high_order_matches_mpmath(m):
+    # the leading term (x/2)^m / m! rounds about twice, not once per order
+    got = bessel_j(m, SERIES_X)
+    with mpmath.workdps(40):
+        ref = [mpmath.besselj(m, mpmath.mpf(float(x))) for x in SERIES_X]
+        err = max(abs((mpmath.mpf(float(g)) - r) / r) for g, r in zip(got, ref))
+    assert float(err) <= 6e-16
+
+
+def _running_product_series(top, x):
+    # the leading terms (x/2)^m / m! as a running product of x / 2m
+    half = 0.5 * x
+    orders = np.arange(top + 1)[:, None]
+    term = np.cumprod(np.vstack([np.ones_like(half), half / orders[1:]]),
+                      axis=0)
+    total = term.copy()
+    for k in range(1, 24):
+        term = term * (-half * half) / (k * (orders + k))
+        total += term
+        if np.max(np.abs(term)) < 1e-19 * max(np.max(np.abs(total)), 1e-300):
+            break
+    return total
+
+
+def test_j_series_low_orders_keep_running_product_bits(monkeypatch):
+    # at m <= 2 the power-and-factorial leading terms round exactly like the
+    # running product, so J and H (whose Y_0, Y_1 sum J_0..J_13) keep every
+    # bit at the series points
+    x = np.concatenate([SERIES_X, np.geomspace(1e-8, 0.02, 200)])
+    new = [(bessel_j(m, x), hankel1(m, x)) for m in range(3)]
+    monkeypatch.setattr(specfun, "_j_series", _running_product_series)
+    for m, (j, h) in enumerate(new):
+        assert np.array_equal(j.view(np.uint64), bessel_j(m, x).view(np.uint64))
+        assert np.array_equal(h.view(np.uint64), hankel1(m, x).view(np.uint64))
 
 
 def test_j_domain_errors():
