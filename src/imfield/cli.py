@@ -43,6 +43,7 @@ from .farfield import (
     _lookup,
     _pair_abscissas,
     _raw_estimates,
+    _shifted_samples,
     extract_all,
     farfield_to_dict,
     schedule_abscissas,
@@ -376,18 +377,15 @@ def _extract_pair(sc: Scenario):
     s_absc = schedule_abscissas(sched)
     sp, sm = _ray_samples(sc, s_absc)
     ff = _stage("extract", extract_all, sp, sm, sc.order, sched)
-    return sched, s_absc, sp, ff
+    return sched, sp, ff
 
 
 def _run_extract(sc: Scenario) -> _RunResult:
-    sched, s_absc, sp, ff = _extract_pair(sc)
-    # raw two-point estimates of f_0 on the plus ray; their deviation from
-    # the extrapolated value decays like 1/r on exact data
-    p0 = np.asarray(sc.line.point)
-    t = np.asarray(sc.line.theta)
-    pts = p0[None, :] + s_absc[:, None] * t[None, :]
-    r_glob = np.hypot(pts[:, 0], pts[:, 1])
-    frame = replace(sp, values=sp.values * np.sqrt(s_absc / r_glob))
+    sched, sp, ff = _extract_pair(sc)
+    # raw two-point estimates of f_0 on the plus ray, in the frame at the
+    # line point; their deviation from the extrapolated value decays like
+    # 1/r on exact data
+    frame = _shifted_samples(sp, sc.line.point, sc.line.theta, +1)
     s = _pair_abscissas(sched.radii, sched.tau)
     raw = _raw_estimates(_lookup(frame, s), s, (), sc.kappa, sched.tau)
     f0 = ff.f_plus[0]
@@ -405,7 +403,7 @@ def _run_extract(sc: Scenario) -> _RunResult:
 def _run_karp(sc: Scenario) -> _RunResult:
     if sc.order < 1:
         _fail("order", "karp conversion needs order >= 1")
-    _, _, _, ff = _extract_pair(sc)
+    _, _, ff = _extract_pair(sc)
     kc = _stage("karp", karp_from_farfield, ff)
     r_trust = _trusted_radius(kc)
     lam = 2.0 * np.pi / sc.kappa

@@ -282,14 +282,16 @@ _SVD_CUTOFF = 1e-6
 
 
 def _gap_completion(Af, bf, Ag, im_values):
-    """Multipole completion of the trace inside the Karp gap.
+    """Multipole completion of the traces inside the shared Karp gap.
 
     Builds a real-linear least-squares system for (Re c, Im c) of the
     multipole coefficients from complex-valued rows on the Karp flank bands
-    [xi_gap, xi_gap + 10 lam] of both sides (design Af, Karp values bf)
-    plus imaginary-part-only rows at the measured points inside the gap
-    (design Ag), and solves it with a column-normalized truncated SVD.
-    Returns (c, relative fit residual).
+    [xi_gap, xi_gap + 10 lam] of both sides (design Af, Karp values bf with
+    one column per series) plus imaginary-part-only rows at the measured
+    points inside the gap (design Ag, im_values with one column per
+    series), and solves it for every column with one column-normalized
+    truncated SVD. Returns (c, relative fit residual of each column), c of
+    shape (2 modes + 1, columns).
     """
     modes = (Af.shape[1] - 1) // 2
     A = np.vstack([
@@ -302,10 +304,11 @@ def _gap_completion(Af, bf, Ag, im_values):
     nrm[nrm == 0] = 1.0
     U, sv, Vh = np.linalg.svd(A / nrm, full_matrices=False)
     keep = sv > _SVD_CUTOFF * sv[0]
-    u = (Vh[keep].T @ ((U[:, keep].T @ b) / sv[keep])) / nrm
+    u = (Vh[keep].T @ ((U[:, keep].T @ b) / sv[keep, None])) / nrm[:, None]
     c = u[:2 * modes + 1] + 1j * u[2 * modes + 1:]
-    resid = np.abs(A @ u - b).max() / max(np.abs(b).max(), 1e-300)
-    return c, float(resid)
+    resid = np.abs(A @ u - b).max(axis=0) \
+        / np.maximum(np.abs(b).max(axis=0), 1e-300)
+    return c, resid
 
 
 def _trusted_radius(kc: KarpCoeffs) -> float:
@@ -324,6 +327,17 @@ def _trusted_radius(kc: KarpCoeffs) -> float:
         raise RuntimeError("Karp series has no usable leading term")
     lam = 2.0 * np.pi / kc.kappa
     return max((last / (lead * _TRUNC_TOL)) ** (1.0 / kc.order), 2.0 * lam)
+
+
+def _shared_gap(kcs) -> float:
+    """Half-width of the one Karp gap that series of one frame share.
+
+    The widest _trusted_radius among the series with terms, so every
+    series is trusted outside it; 0.0 when every series is zero, since a
+    zero series has no gap and a zero trace.
+    """
+    return max((_trusted_radius(kc) for kc in kcs
+                if np.any(kc.F) or np.any(kc.G)), default=0.0)
 
 
 def _window_half_length(line: LineSpec, points, kappa: float) -> float:
@@ -350,14 +364,13 @@ def _trace_half_length(kc: KarpCoeffs, line: LineSpec, points=()) -> float:
     trusted radius must fit inside [-S, S], so S is at least the distance
     of the Karp origin along the line plus its trusted radius plus 12
     wavelengths, and at least what _window_half_length asks for the
-    points. A zero series has no gap.
+    points.
     """
     lam = 2.0 * np.pi / kc.kappa
     s_q = abs(float((np.asarray(kc.origin_shift) - np.asarray(line.point))
                     @ np.asarray(line.theta)))
-    xi_gap = _trusted_radius(kc) if (np.any(kc.F) or np.any(kc.G)) else 0.0
     return max(_window_half_length(line, points, kc.kappa),
-               s_q + xi_gap + 12.0 * lam)
+               s_q + _shared_gap([kc]) + 12.0 * lam)
 
 
 def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
@@ -379,13 +392,12 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     A RuntimeError reports a trusted start plus 10-wavelength fit band
     past S, or an inconsistent completion (fit residual > 5%).
     """
-    if np.any(kc.F) or np.any(kc.G):  # a zero series has no gap
-        s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
-        xi_gap = _trusted_radius(kc)
-        if xi_gap + 10.0 * (2.0 * np.pi / kc.kappa) > S - abs(s_q):
-            raise RuntimeError(
-                f"Karp series is trusted only beyond {xi_gap:.3g} from "
-                f"its origin, too far out for trace half-length S={S:.3g}")
+    xi_gap = _shared_gap([kc])
+    s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
+    if xi_gap and xi_gap + 10.0 * (2.0 * np.pi / kc.kappa) > S - abs(s_q):
+        raise RuntimeError(
+            f"Karp series is trusted only beyond {xi_gap:.3g} from "
+            f"its origin, too far out for trace half-length S={S:.3g}")
     if im_values is not None:
         im_values = np.expand_dims(np.asarray(im_values, dtype=float), -1)
     psi = _karp_line_traces([kc], spec, im_points, im_values, gap_center)
@@ -399,12 +411,12 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
     The series must share kappa, phi, origin_shift and order (the Karp
     conversions of one ray pair, one per source); im_values (N x len(kcs))
     holds one column of imaginary parts per series at the shared
-    im_points. Each series gets the gap checks and completion of its
-    karp_line_trace, in series order. The multipole design of each shared
-    point set (the measured points in any gap, the union of the flank
-    bands, and the evaluation points in any gap) is built once, and each
-    series takes its own rows, which are exactly the rows a design of its
-    points alone would hold.
+    im_points. The series share one gap, the widest of their trusted
+    radii (_shared_gap), so each is trusted outside it; the gap data are
+    checked once, and one least-squares fit over one design per point set
+    (the measured points in the gap, the flank bands, the evaluation
+    points in the gap) completes every series, one right-hand-side column
+    each.
     Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
     """
     kc0 = kcs[0]
@@ -425,27 +437,23 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
     theta_k = np.array([np.cos(kc0.phi), np.sin(kc0.phi)])
     # orientation of the Karp angle along the line parameterization
     sign = 1.0 if float(theta_k @ t) > 0 else -1.0
-
-    # trusted radius of each series with terms; a zero series has no gap
-    # and a zero trace
-    xi_gaps = {j: _trusted_radius(kc) for j, kc in enumerate(kcs)
-               if np.any(kc.F) or np.any(kc.G)}
+    xi_gap = _shared_gap(kcs)
 
     def line_point(xi):
         return q + np.multiply.outer(xi, theta_k)
 
-    def karp_vals(kc, xi):
-        out = np.empty(xi.shape, dtype=complex)
+    def karp_vals(xi):
+        out = np.empty(xi.shape + (len(kcs),), dtype=complex)
         pos = xi > 0
-        if np.any(pos):
-            out[pos] = eval_karp(kc, xi[pos], "+")
-        if np.any(~pos):
-            out[~pos] = eval_karp(kc, -xi[~pos], "-")
+        for j, kc in enumerate(kcs):
+            if np.any(pos):
+                out[pos, j] = eval_karp(kc, xi[pos], "+")
+            if np.any(~pos):
+                out[~pos, j] = eval_karp(kc, -xi[~pos], "-")
         return out
 
     gap_modes = kc0.order + 2
-    coeffs = {}
-    if xi_gaps:
+    if xi_gap:
         if im_points is None or im_values is None:
             raise ValueError(
                 "the Karp gap needs imaginary-part data: pass im_points and "
@@ -461,16 +469,14 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
         if np.max(np.hypot(stray[:, 0], stray[:, 1])) > 1e-9:
             raise ValueError("im_points must lie on spec.line")
         xi_pts = sign * (s_pts - s_q)
-        inside = {}
-        for j, xi_gap in xi_gaps.items():
-            inside[j] = np.abs(xi_pts) <= xi_gap
-            xs = np.sort(xi_pts[inside[j]])
-            step = lam / 10.0 + 1e-9
-            if (xs.size < 2 or xs[0] > -xi_gap + step
-                    or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
-                raise ValueError(
-                    f"imaginary-part data must cover |s - s_q| <= "
-                    f"{xi_gap:.3g} at >= 10 samples per wavelength")
+        inside = np.abs(xi_pts) <= xi_gap
+        xs = np.sort(xi_pts[inside])
+        step = lam / 10.0 + 1e-9
+        if (xs.size < 2 or xs[0] > -xi_gap + step
+                or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
+            raise ValueError(
+                f"imaginary-part data must cover |s - s_q| <= "
+                f"{xi_gap:.3g} at >= 10 samples per wavelength")
         if gap_center is None:
             gap_center = (0.0, 0.0)
         gap_center = (float(gap_center[0]), float(gap_center[1]))
@@ -478,40 +484,30 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
             raise ValueError("gap_center sits on the line, where the "
                              "multipole basis is singular; pass a center "
                              "off the line")
-        # the gaps are nested: the widest holds every series' points
-        near = np.abs(xi_pts) <= max(xi_gaps.values())
-        Ag = _outgoing_design(pts[near], gap_center, kappa, gap_modes)
-        xi_fit = {}
-        for j, xi_gap in xi_gaps.items():
-            band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
-            xi_fit[j] = np.concatenate([-band[::-1], band])
-        Af = _outgoing_design(line_point(np.concatenate(list(xi_fit.values()))),
-                         gap_center, kappa, gap_modes)
-        for j, Af_j in zip(xi_gaps, np.split(Af, len(xi_gaps))):
-            coeffs[j], resid = _gap_completion(
-                Af_j, karp_vals(kcs[j], xi_fit[j]),
-                Ag[inside[j][near]], vals[inside[j], j])
-            if resid > 0.05:
-                raise RuntimeError(
-                    f"gap completion is inconsistent with the Karp flanks "
-                    f"(relative fit residual {resid:.3g})")
+        band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
+        xi_fit = np.concatenate([-band[::-1], band])
+        coeffs, resid = _gap_completion(
+            _outgoing_design(line_point(xi_fit), gap_center, kappa, gap_modes),
+            karp_vals(xi_fit),
+            _outgoing_design(pts[inside], gap_center, kappa, gap_modes),
+            vals[inside])
+        if resid.max() > 0.05:
+            raise RuntimeError(
+                f"gap completion is inconsistent with the Karp flanks "
+                f"(relative fit residual {resid.max():.3g})")
 
     def psi(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
         xi = sign * (s - s_q)  # Karp-frame coordinate along theta_k
         out = np.zeros(s.shape + (len(kcs),), dtype=complex)
-        if not xi_gaps:
+        if not xi_gap:
             return out
-        in_any = np.abs(xi) < max(xi_gaps.values())
-        if np.any(in_any):
-            design = _outgoing_design(line_point(xi[in_any]), gap_center,
-                                 kappa, gap_modes)
-        for j, xi_gap in xi_gaps.items():
-            gap = np.abs(xi) < xi_gap
-            if np.any(~gap):
-                out[~gap, j] = karp_vals(kcs[j], xi[~gap])
-            if np.any(gap):
-                out[gap, j] = design[gap[in_any]] @ coeffs[j]
+        gap = np.abs(xi) < xi_gap
+        if np.any(~gap):
+            out[~gap] = karp_vals(xi[~gap])
+        if np.any(gap):
+            out[gap] = _outgoing_design(line_point(xi[gap]), gap_center,
+                                        kappa, gap_modes) @ coeffs
         return out
 
     return psi

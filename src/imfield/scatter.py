@@ -62,8 +62,9 @@ from Omega only, and G is added back at the end. One field with a column
 per source evaluates D in two calls, the line points with both rays and
 then the gap lattice. The rays leave the foot q of the support centre at
 the extraction's own abscissas s, so sqrt(s) Im D of all sources feeds
-one batched far-field extraction in the Karp frame at q, and the traces
-of all sources share one multipole design per point set.
+one batched far-field extraction in the Karp frame at q. The traces of
+all sources share one gap, the widest of their trusted radii, and one
+least-squares gap fit with a right-hand side per source.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from .farfield import (FarFieldCoeffs, _extract_orders, _pair_abscissas,
                        schedule_for)
 from .karp import karp_from_farfield
 from .propagate import (HalfPlaneSpec, LineSpec, _karp_line_traces,
-                        _trusted_radius)
+                        _shared_gap)
 
 __all__ = [
     "PotentialGrid",
@@ -762,8 +763,10 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     D = R + G, whose imaginary part on the line is Im R + (1/4) J_0(kappa
     |x - y|); D radiates from Omega only. Samples sqrt(s) Im D on the
     line's two rays, s the distance from the foot of the support centre,
-    feed one batched far-field extraction in that Karp frame, then a Karp
-    series and a line trace per source; subtracting G turns D into R.
+    feed one batched far-field extraction in that Karp frame and a Karp
+    series per source. The line traces of all sources share one gap, the
+    widest of their trusted radii, completed by one gap fit with a column
+    per source; subtracting G turns D into R.
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
@@ -822,15 +825,13 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         karps = [karp_from_farfield(FarFieldCoeffs(
             kappa=kappa, phi=phi, f_plus=fp, f_minus=fm,
             origin_shift=tuple(origin))) for fp, fm in coeffs]
-        xi_gaps = [_trusted_radius(kc) for kc in karps]
-        # one dense two-sided lambda/12 lattice covering every source's gap;
-        # each trace keeps only the points inside its own gap
+        # one dense two-sided lambda/12 lattice covering the sources' one
+        # shared gap, and one gap fit for every source
         step = lam / 12.0
-        m = int(np.ceil((max(xi_gaps) + lam) / step))
+        m = int(np.ceil((_shared_gap(karps) + lam) / step))
         xs = (np.arange(-m, m) + 0.5) * step
         gap_pts = origin + np.multiply.outer(xs, theta)
         im_gap = d_field.correction(gap_pts).imag
-        # every source's trace from one multipole design per point set
         traces = _karp_line_traces(karps, spec, im_points=gap_pts,
                                    im_values=im_gap, gap_center=tuple(center))
         d_recovered = traces(s_pts)

@@ -363,10 +363,11 @@ def test_gap_design_evaluates_one_hankel_pair(monkeypatch):
     assert calls == ["pair"]
 
 
-def test_multi_series_trace_matches_single_series_bytes():
-    # three sources seen through one ray pair: the shared-design builder
-    # gives every series the bytes of its own karp_line_trace, a zero
-    # series included, and checks that the series share one frame
+def test_multi_series_traces_share_the_widest_gap(monkeypatch):
+    # three sources seen through one ray pair, trusted beyond 68.4, 62.5
+    # and 41.9, plus a zero series: every series takes the widest gap and
+    # one gap fit completes them all, the widest series as its own
+    # karp_line_trace does; the series must share one frame
     fields = [RadiationField(terms=(PointSource(y0, c),), kappa=KAPPA)
               for y0, c in (((0.3, 0.2), 1.0), ((-0.2, 0.1), 0.5 - 0.7j),
                             ((0.0, -0.3), 2.0j))]
@@ -374,21 +375,35 @@ def test_multi_series_trace_matches_single_series_bytes():
     for f in fields:
         sp, sm, sched = _scenario_samples(f, 3)
         kcs.append(karp_from_farfield(extract_all(sp, sm, 3, sched)))
+    assert np.argmax([_trusted_radius(kc) for kc in kcs]) == 0
     kcs.append(KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=[0.0] * 4,
                           G=[0.0] * 4, origin_shift=kcs[0].origin_shift))
     pts, _ = _gap_data(fields[0])
     vals = np.stack([_gap_data(f)[1] for f in fields]
                     + [np.zeros(pts.shape[0])], axis=1)
-    S = [200 * LAM, 210 * LAM, 220 * LAM, 230 * LAM]
     s = np.linspace(-150.0, 150.0, 4001)
+    fits = []
+    real = propagate_mod._gap_completion
+
+    def counting(*args):
+        fits.append(args[1].shape)
+        return real(*args)
+
+    monkeypatch.setattr(propagate_mod, "_gap_completion", counting)
     got = _karp_line_traces(kcs, SPEC, im_points=pts, im_values=vals)(s)
+    assert fits == [(160, 4)]
     assert got.shape == (s.size, 4)
-    for j, kc in enumerate(kcs):
-        one = karp_line_trace(kc, SPEC, S[j], im_points=pts,
-                              im_values=vals[:, j]).psi(s)
-        assert np.array_equal(np.ascontiguousarray(got[:, j]).view(np.uint64),
-                              np.ascontiguousarray(one).view(np.uint64))
+    one = karp_line_trace(kcs[0], SPEC, 200 * LAM, im_points=pts,
+                          im_values=vals[:, 0]).psi(s)
+    assert np.max(np.abs(got[:, 0] - one)) <= 1e-13 * np.max(np.abs(one))
+    for j, f in enumerate(fields):
+        ref = _line_trace_fn(f)(s)
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-3 * np.max(np.abs(ref))
     assert np.all(got[:, 3] == 0.0)
+    bad = vals.copy()
+    bad[:, 1] *= 3.0
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        _karp_line_traces(kcs, SPEC, im_points=pts, im_values=bad)
     other = KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=kcs[0].F[:3],
                        G=kcs[0].G[:3], origin_shift=kcs[0].origin_shift)
     with pytest.raises(ValueError):  # series of another order

@@ -603,13 +603,15 @@ def test_gkl_gap_rows_built_once(monkeypatch):
     # the volume term is still evaluated in two calls, each for every
     # source at once: the line points with both rays, then one gap lattice
     # covering every source. Every source is extracted in one batched
-    # _extract_orders pass, with no per-source extract_all
+    # _extract_orders pass, with no per-source extract_all, and one gap
+    # fit completes every source's trace
     grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
     solve_lippmann_schwinger(grid, (0.0, -2.0))  # factor the core up front
-    calls, extractions = [], []
+    calls, extractions, fits = [], [], []
     real = scatter.VolumeField.correction
     real_orders = farfield._extract_orders
     real_all = farfield.extract_all
+    real_fit = propagate._gap_completion
 
     def counting(self, x):
         calls.append(np.shape(x))
@@ -623,15 +625,21 @@ def test_gkl_gap_rows_built_once(monkeypatch):
         extractions.append("extract_all")
         return real_all(*args)
 
+    def counting_fit(*args):
+        fits.append(np.shape(args[1]))
+        return real_fit(*args)
+
     monkeypatch.setattr(scatter.VolumeField, "correction", counting)
     # extract_all reaches _extract_orders through farfield's own name
     monkeypatch.setattr(farfield, "_extract_orders", counting_orders)
     monkeypatch.setattr(scatter, "_extract_orders", counting_orders)
     for mod in (farfield, propagate):
         monkeypatch.setattr(mod, "extract_all", counting_all)
+    monkeypatch.setattr(propagate, "_gap_completion", counting_fit)
     for n_points in (3, 5):
         calls.clear()
         extractions.clear()
+        fits.clear()
         report = gkl_reduce(grid, LINE, (-1.0, 4.0), order=3,
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
@@ -640,6 +648,7 @@ def test_gkl_gap_rows_built_once(monkeypatch):
         assert calls[0] == (n_points + 2 * n_ray, 2)
         assert calls[1][0] % 2 == 0 and calls[1][1:] == (2,)
         assert extractions == [("orders", (n_points, 2, 2, n_ray // 2))]
+        assert fits == [(160, n_points)]
 
 
 def test_gkl_free_table_is_one_hankel_call(monkeypatch):
