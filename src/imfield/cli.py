@@ -40,10 +40,10 @@ import numpy as np
 
 from .farfield import (
     ExtractionSchedule,
+    _frame_im,
     _lookup,
     _pair_abscissas,
     _raw_estimates,
-    _shifted_samples,
     extract_all,
     farfield_to_dict,
     schedule_abscissas,
@@ -57,11 +57,12 @@ from .fields import (
     field_from_dict,
     sample_im_on_ray,
 )
-from .karp import eval_karp, karp_from_farfield, karp_to_dict
+from .karp import _karp_sum, karp_from_farfield, karp_to_dict
 from .propagate import (
     HalfPlaneSpec,
     LineSpec,
     LineTrace,
+    _foot,
     _stage,
     _stage_timings,
     _trusted_radius,
@@ -343,14 +344,14 @@ def _scenario_schedule(sc: Scenario) -> ExtractionSchedule:
 
 
 def _ray_samples(sc: Scenario, s_absc):
-    """Im samples on the two rays of the line; seeded noise per ray."""
+    """Im samples on the two rays of the line, both leaving the foot of the
+    origin, which puts the Karp frame there; seeded noise per ray."""
     t = np.asarray(sc.line.theta)
-    out = []
-    for sgn, seed_off in ((1.0, 0), (-1.0, 1)):
-        ray = RayGeometry(origin=sc.line.point, direction=tuple(sgn * t))
-        out.append(_stage("synth", sample_im_on_ray, sc.field, ray, s_absc,
-                          sc.noise_sigma, sc.noise_seed + seed_off))
-    return out[0], out[1]
+    foot = tuple(_foot(sc.line, (0.0, 0.0)))
+    return tuple(_stage("synth", sample_im_on_ray, sc.field,
+                        RayGeometry(origin=foot, direction=tuple(sgn * t)),
+                        s_absc, sc.noise_sigma, sc.noise_seed + seed_off)
+                 for sgn, seed_off in ((1.0, 0), (-1.0, 1)))
 
 
 def _run_synth(sc: Scenario) -> _RunResult:
@@ -374,20 +375,19 @@ def _run_synth(sc: Scenario) -> _RunResult:
 
 def _extract_pair(sc: Scenario):
     sched = _stage("extract", _scenario_schedule, sc)
-    s_absc = schedule_abscissas(sched)
-    sp, sm = _ray_samples(sc, s_absc)
+    sp, sm = _ray_samples(sc, schedule_abscissas(sched))
     ff = _stage("extract", extract_all, sp, sm, sc.order, sched)
     return sched, sp, ff
 
 
 def _run_extract(sc: Scenario) -> _RunResult:
     sched, sp, ff = _extract_pair(sc)
-    # raw two-point estimates of f_0 on the plus ray, in the frame at the
-    # line point; their deviation from the extrapolated value decays like
-    # 1/r on exact data
-    frame = _shifted_samples(sp, sc.line.point, sc.line.theta, +1)
+    # raw two-point estimates of f_0 on the plus ray, in the Karp frame; their
+    # deviation from the extrapolated value decays like 1/r on exact data
+    _, xi, im = _frame_im(sp, ff.origin_shift, sc.line.theta, +1)
     s = _pair_abscissas(sched.radii, sched.tau)
-    raw = _raw_estimates(_lookup(frame, s), s, (), sc.kappa, sched.tau)
+    raw = _raw_estimates(np.sqrt(s) * _lookup(xi, im, s), s, (), sc.kappa,
+                         sched.tau)
     f0 = ff.f_plus[0]
     devs = np.abs(raw - f0)
     rows = list(zip(sched.radii, raw.real, raw.imag, devs))
@@ -408,24 +408,18 @@ def _run_karp(sc: Scenario) -> _RunResult:
     r_trust = _trusted_radius(kc)
     lam = 2.0 * np.pi / sc.kappa
     rr = np.geomspace(0.25 * lam, max(100.0 * lam, 3.0 * r_trust), 48)
-    q = np.asarray(kc.origin_shift)
+    xi = np.concatenate([-rr[::-1], rr])  # both sides, along the line
     u = np.array([np.cos(kc.phi), np.sin(kc.phi)])
-    rows = []
-    errs = []
-    for side in (-1, +1):
-        vals = eval_karp(kc, rr, side)
-        pts = q[None, :] + side * rr[:, None] * u[None, :]
-        refs = eval_field(sc.field, pts)
-        order_idx = range(rr.size - 1, -1, -1) if side < 0 else range(rr.size)
-        for i in order_idx:
-            err = abs(vals[i] - refs[i])
-            rows.append((side * rr[i], vals[i].real, vals[i].imag,
-                         refs[i].real, refs[i].imag, err))
-            if rr[i] >= r_trust:
-                errs.append(err / max(abs(refs[i]), 1e-300))
+    vals = _karp_sum([kc], xi)[:, 0]
+    refs = eval_field(sc.field, np.asarray(kc.origin_shift)
+                      + np.multiply.outer(xi, u))
+    errs = np.abs(vals - refs)
+    rows = list(zip(xi, vals.real, vals.imag, refs.real, refs.imag, errs))
+    tail = np.abs(xi) >= r_trust
     metrics = {"karp_order": int(kc.order),
                "trusted_radius": float(r_trust),
-               "tail_max_rel_err": float(max(errs))}
+               "tail_max_rel_err": float(np.max(
+                   errs[tail] / np.maximum(np.abs(refs[tail]), 1e-300)))}
     return _RunResult(metrics,
                       ("s", "re_karp", "im_karp", "re_ref", "im_ref", "abs_err"),
                       rows, coefficients=karp_to_dict(kc))
@@ -538,7 +532,9 @@ def _run_gkl(sc: Scenario) -> _RunResult:
 
 
 def _run_pipeline(sc: Scenario) -> _RunResult:
-    spec = _halfplane_toward(sc.line, (0.0, 0.0))
+    # the trace abscissa, like the rays and the Karp frame, starts at the foot
+    spec = _halfplane_toward(
+        replace(sc.line, point=tuple(_foot(sc.line, (0.0, 0.0)))), (0.0, 0.0))
     _require_targets_in_halfplane(sc, spec)
     lam = 2.0 * np.pi / sc.kappa
     sched = _stage("extract", _scenario_schedule, sc)

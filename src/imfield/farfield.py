@@ -10,8 +10,9 @@ in 1/r.
 
 Abscissa convention: all extraction operations interpret an abscissa s as
 the distance |x| from the expansion origin (the frame in which the f_j are
-defined). extract_all re-expresses raw line samples in such a frame
-automatically; the lower-level operations expect it.
+defined). extract_all converts raw line samples with _frame_im to Im psi at
+the distance s from the midpoint q of the ray origins, weighted by sqrt(s);
+the lower-level operations expect samples already in the frame.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ImSamples, RayGeometry
+from .fields import ImSamples
 from .specfun import _reduce_phase
 
 __all__ = [
@@ -182,15 +183,14 @@ def _pair_abscissas(radii, tau) -> np.ndarray:
     return np.stack([radii, radii + tau])
 
 
-def _lookup(samples: ImSamples, s) -> np.ndarray:
-    """Sample values at the abscissas s (any shape), one searchsorted for all.
+def _lookup(a, values, s) -> np.ndarray:
+    """values at the abscissas s (any shape) of the sorted abscissas a.
 
-    Each s takes the nearest sample abscissa, which must match it within
-    1e-9 relative; the first miss in schedule order (r_0, r_0 + tau, r_1,
-    ...) is named in the error.
+    One searchsorted serves every s. Each s takes the nearest abscissa of
+    a, which must match it within 1e-9 relative; the first miss in
+    schedule order (r_0, r_0 + tau, r_1, ...) is named in the error.
     """
     s = np.asarray(s, dtype=float)
-    a = samples.abscissas
     if a.size == 0:
         raise ValueError(f"required abscissa {float(s.T.flat[0])!r} "
                          "not present in samples")
@@ -201,7 +201,7 @@ def _lookup(samples: ImSamples, s) -> np.ndarray:
     if np.any(miss):
         raise ValueError(f"required abscissa {float(s.T[miss.T][0])!r} "
                          "not present in samples")
-    return samples.values[idx]
+    return values[idx]
 
 
 def _model_I(known, s, kappa: float, sin, cos):
@@ -290,8 +290,8 @@ def extract_next_coeff(samples: ImSamples, known, r: float, tau: float) -> compl
         raise ValueError("known must contain at least f_0")
     _check_pair(r, tau)
     s = _pair_abscissas([r], tau)
-    return complex(_raw_estimates(_lookup(samples, s), s, known,
-                                  samples.kappa, tau)[0])
+    data = _lookup(samples.abscissas, samples.values, s)
+    return complex(_raw_estimates(data, s, known, samples.kappa, tau)[0])
 
 
 def _neville(t, tab, depth: int):
@@ -330,10 +330,10 @@ def extract_sequence_extrapolated(estimates, depth: int) -> complex:
 
 
 def _line_frame(samples_plus: ImSamples, samples_minus: ImSamples):
-    """Validate collinear, oppositely-oriented rays; return (q, theta, xi_p, xi_m).
+    """Validate collinear, oppositely-oriented rays; return (q, theta).
 
-    xi_p/xi_m are the signed line coordinates (relative to q, along theta) of
-    the two ray origins.
+    q is the midpoint of the two ray origins and theta the direction of
+    the plus ray.
     """
     rp, rm = samples_plus.ray, samples_minus.ray
     dp = rp.orientation * np.asarray(rp.direction)
@@ -346,34 +346,24 @@ def _line_frame(samples_plus: ImSamples, samples_minus: ImSamples):
     cross = gap[0] * dp[1] - gap[1] * dp[0]
     if abs(cross) > 1e-9 * max(1.0, float(np.hypot(*gap))):
         raise ValueError("rays are not collinear")
-    q = 0.5 * (op + om)
-    theta = dp
-    xi_p = float((op - q) @ theta)
-    xi_m = float((om - q) @ theta)
-    return q, theta, xi_p, xi_m
+    return 0.5 * (op + om), dp
 
 
-def _shifted_samples(samples: ImSamples, q, theta, sign: int) -> ImSamples:
-    """Re-express samples in the frame centered at q on the line.
+def _frame_im(samples: ImSamples, q, theta, sign: int):
+    """A ray's sample points, their abscissas in the frame at q, and Im psi.
 
-    sign +1 for the ray along theta, -1 for the opposite ray. The new
-    abscissa is the distance from q, and values are re-weighted from
-    sqrt(|x|) (global frame) to sqrt(|x - q|).
+    sign is +1 for the ray along theta and -1 for the opposite ray; the
+    abscissa of a point x is (x - q) . (sign theta), its distance from q.
+    The values lose their sqrt(|x|) weight about the global origin.
     """
     pts = samples.ray.point(samples.abscissas)
-    xi = (pts - q) @ (sign * np.asarray(theta))
+    xi = (pts - np.asarray(q)) @ (sign * np.asarray(theta))
     if np.any(xi <= 0):
         raise ValueError("a sample lies on the wrong side of the shift point")
     r_global = np.hypot(pts[:, 0], pts[:, 1])
     if np.any(r_global == 0):
-        raise ValueError("a sample sits at the global origin; cannot re-weight")
-    vals = samples.values * np.sqrt(xi / r_global)
-    order = np.argsort(xi)
-    new_ray = RayGeometry(origin=(float(q[0]), float(q[1])),
-                          direction=(float(sign * theta[0]),
-                                     float(sign * theta[1])))
-    return ImSamples(ray=new_ray, abscissas=xi[order], values=vals[order],
-                     kappa=samples.kappa, noise_sigma=samples.noise_sigma)
+        raise ValueError("a sample sits at the global origin; cannot un-weight")
+    return pts, xi, samples.values / np.sqrt(r_global)
 
 
 def _extract_orders(data, n: int, schedule: ExtractionSchedule,
@@ -400,23 +390,22 @@ def extract_all(samples_plus: ImSamples, samples_minus: ImSamples, n: int,
     """Far-field coefficients f_0..f_n at both angles of a sampled line.
 
     The two rays must lie on one line with opposite directions. The
-    expansion origin q is the midpoint of the two ray origins; abscissas are
-    re-expressed as distances from q and values re-weighted accordingly, so
-    the returned coefficients live in the shifted frame (origin_shift = q).
-    Every schedule radius r and its pair r + tau must be resolvable in both
-    sample sets after the shift.
+    expansion origin q is the midpoint of the two ray origins; each sample
+    is re-expressed as Im psi at its distance s from q and weighted by
+    sqrt(s), so the returned coefficients live in the shifted frame
+    (origin_shift = q). Every schedule radius r and its pair r + tau must
+    be resolvable in both sample sets after the shift.
     """
     if samples_plus.kappa != samples_minus.kappa:
         raise ValueError("sample sets disagree on kappa")
     kappa = samples_plus.kappa
     if abs(np.sin(kappa * schedule.tau)) < 0.5:
         raise ValueError("schedule tau violates |sin(kappa tau)| >= 0.5")
-    q, theta, _, _ = _line_frame(samples_plus, samples_minus)
+    q, theta = _line_frame(samples_plus, samples_minus)
     s = _pair_abscissas(schedule.radii, schedule.tau)
     data = np.stack([
-        _lookup(_shifted_samples(samples_plus, q, theta, +1), s),
-        _lookup(_shifted_samples(samples_minus, q, theta, -1), s),
-    ])
+        np.sqrt(s) * _lookup(*_frame_im(samples, q, theta, sign)[1:], s)
+        for samples, sign in ((samples_plus, +1), (samples_minus, -1))])
     f_plus, f_minus = _extract_orders(data, n, schedule, kappa)
     phi = float(np.arctan2(theta[1], theta[0]))
     return FarFieldCoeffs(kappa=kappa, phi=phi, f_plus=f_plus, f_minus=f_minus,

@@ -11,6 +11,10 @@ a triangular sequence of 2x2 linear systems. The antipodal values follow the
 parity rules F_j(phi + pi) = (-1)^j F_j(phi), G_j(phi + pi) = (-1)^{j+1}
 G_j(phi), which close each system; the rules themselves are validated against
 the exact Lommel-polynomial representation of H_m (see lommel_karp_oracle).
+
+_karp_sum sums every series of one frame at signed abscissas, the sign
+picking the side through the same rules, from one H_0, H_1 pass per point
+set; eval_karp is its one-series, one-side case.
 """
 
 from __future__ import annotations
@@ -144,25 +148,32 @@ def eval_karp(kc: KarpCoeffs, r, side=+1):
     r is the distance from the shifted frame origin; must exceed the source
     radius for the series to converge. Accepts scalar or array r.
     """
-    if side in ("+", 1, +1):
-        F, G = kc.F, kc.G
-    elif side in ("-", -1):
-        F, G = kc.antipodal()
-    else:
+    sign = {"+": 1.0, 1: 1.0, "-": -1.0, -1: -1.0}.get(side)
+    if sign is None:
         raise ValueError("side must be '+' or '-'")
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr <= 0):
         raise ValueError("r must be positive")
-    z = kc.kappa * r_arr
-    u = 1.0 / r_arr
-    sum_f = np.zeros(r_arr.shape, dtype=complex)
-    sum_g = np.zeros(r_arr.shape, dtype=complex)
-    for j in range(kc.order, -1, -1):
+    out = _karp_sum([kc], sign * r_arr)[..., 0]
+    return complex(out) if out.ndim == 0 else out
+
+
+def _karp_sum(kcs, xi):
+    """Karp series of one frame at signed abscissas xi, one column each.
+
+    xi < 0 is the point |xi| theta on the antipodal side, whose lists
+    (-1)^j F_j and (-1)^{j+1} G_j make Horner sums in the signed 1/xi, the
+    G sum times sign(xi). Returns shape xi.shape + (len(kcs),).
+    """
+    xi = np.asarray(xi, dtype=float)[..., None]
+    u = 1.0 / xi
+    F, G = np.array([[kc.F, kc.G] for kc in kcs]).transpose(1, 2, 0)
+    sum_f = sum_g = 0.0
+    for j in range(F.shape[0] - 1, -1, -1):
         sum_f = sum_f * u + F[j]
         sum_g = sum_g * u + G[j]
-    h0, h1 = _hankel01(z)
-    out = h0 * sum_f + h1 * sum_g
-    return complex(out) if out.ndim == 0 else out
+    h0, h1 = _hankel01(kcs[0].kappa * np.abs(xi))
+    return h0 * sum_f + h1 * (np.sign(xi) * sum_g)
 
 
 def lommel_karp_oracle(m: int, order: int):

@@ -27,6 +27,10 @@ the origin under two thin angle clusters and cannot resolve the angular
 content, while imaginary parts leave the real part unconstrained - but a
 radiating field is determined by its imaginary part on a line, and the
 combined fit recovers the gap trace at the accuracy level of the flanks.
+
+The trusted radius grows with the distance of q from the sources, so q
+sits at the foot on L of the gap centre (_foot): of the origin for the
+CLI, of the support centre for scatter.gkl_reduce.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .farfield import ExtractionSchedule, extract_all, schedule_for
+from .farfield import (ExtractionSchedule, _frame_im, _line_frame,
+                       extract_all, schedule_for)
 from .fields import ImSamples
-from .karp import KarpCoeffs, eval_karp, karp_from_farfield
+from .karp import KarpCoeffs, _karp_sum, karp_from_farfield
 from .specfun import _outgoing_design, hankel1
 
 __all__ = [
@@ -98,6 +103,13 @@ class HalfPlaneSpec:
         return float((np.asarray(x, dtype=float) - p) @ np.asarray(self.normal))
 
 
+def _foot(line: LineSpec, point) -> np.ndarray:
+    """Foot of point on line: the Karp frame origin for sources about point."""
+    p0 = np.asarray(line.point)
+    t = np.asarray(line.theta)
+    return p0 + float((np.asarray(point, dtype=float) - p0) @ t) * t
+
+
 # 6-point Gauss-Legendre nodes and weights on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
@@ -138,9 +150,8 @@ class LineTrace:
 
     The provider func is a vectorized callable s -> psi, taken as fixed:
     the quadrature nodes and the trace values at them, folded with the
-    quadrature weights and the window, are memoised per (kappa, panels per
-    wavelength), so every target propagated from one trace evaluates the
-    trace once per node set.
+    quadrature weights and the window, are memoised per kappa, so every
+    target propagated from one trace evaluates the trace once per node set.
     """
 
     S: float
@@ -160,18 +171,19 @@ class LineTrace:
     def psi(self, s):
         return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=complex)
 
-    def _nodes(self, kappa: float, ppw: int, c: float = _WINDOW_C):
+    def _nodes(self, kappa: float, c: float = _WINDOW_C):
         """Read-only nodes s and values -2 w W_c(s) psi(s), memoised.
 
         s and w are the composite 6-point Gauss-Legendre rule over [-S, S]
-        with ppw panels per wavelength, W_c is the window with flat part
-        |s| <= cS, and -2 is the Green representation's factor (nu points
-        out of V_L). psi runs once per (kappa, ppw); each window once more.
+        with panels_per_wavelength panels per wavelength, W_c the window
+        with flat part |s| <= cS, and -2 the Green representation's factor
+        (nu points out of V_L). psi runs once per kappa, each window once.
         """
-        key = (float(kappa), int(ppw))
+        key = float(kappa)
         if key not in self._node_cache:
             lam = 2.0 * np.pi / kappa
-            n_panels = max(int(math.ceil(2.0 * self.S * ppw / lam)), 1)
+            n_panels = max(int(math.ceil(
+                2.0 * self.S * self.panels_per_wavelength / lam)), 1)
             edges = np.linspace(-self.S, self.S, n_panels + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1] - edges[0])
@@ -208,15 +220,14 @@ def green_kernel_normal(x, y, nu, kappa: float):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, ppw,
-                estimate):
+def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, estimate):
     """Windowed trace integral at x, and with estimate its error estimate.
 
     The estimate is the change from the steeper check window on the same
     nodes, one more dot product, floored at the dot's own rounding;
     otherwise it is None.
     """
-    s, vals = trace._nodes(kappa, ppw)
+    s, vals = trace._nodes(kappa)
     rel = np.asarray(x, dtype=float) - np.asarray(spec.line.point)
     a = float(rel @ np.asarray(spec.line.theta))  # foot of x on the line
     b = float(rel @ np.asarray(spec.normal))  # nu . (x - y) for every y on L
@@ -226,7 +237,7 @@ def _quadrature(trace: LineTrace, spec: HalfPlaneSpec, x, kappa, ppw,
     value = 0.25j * np.dot(kern, vals)
     if not estimate:
         return value, None
-    _, check = trace._nodes(kappa, ppw, _WINDOW_C_CHECK)
+    _, check = trace._nodes(kappa, _WINDOW_C_CHECK)
     rounding = _DOT_ROUNDING * s.size * np.finfo(float).eps \
         * 0.25 * np.sum(np.abs(kern * vals))
     return value, max(abs(value - 0.25j * np.dot(kern, check)), rounding)
@@ -250,10 +261,9 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
     given (a coverage error is raised if the estimate exceeds it) or
     full_output is set, which adds a dict with the estimate as both
     "tail_bound" and "quad_error_estimate". The windowed trace values at
-    the nodes are memoised on the trace per (kappa, panels per
-    wavelength), and its provider is taken as fixed, so calls for further
-    targets evaluate only the kernel: one hankel1 call, one complex
-    multiply and one dot.
+    the nodes are memoised on the trace per kappa, and its provider is
+    taken as fixed, so calls for further targets evaluate only the kernel:
+    one hankel1 call, one complex multiply and one dot.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -262,7 +272,6 @@ def propagate_halfplane(trace: LineTrace, spec: HalfPlaneSpec, x, kappa: float,
         raise ValueError(
             "x must lie inside V_L at least a quarter wavelength from L")
     value, est = _quadrature(trace, spec, x, kappa,
-                             trace.panels_per_wavelength,
                              full_output or tol is not None)
     if tol is not None and est > tol:
         raise ValueError(
@@ -442,16 +451,6 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
     def line_point(xi):
         return q + np.multiply.outer(xi, theta_k)
 
-    def karp_vals(xi):
-        out = np.empty(xi.shape + (len(kcs),), dtype=complex)
-        pos = xi > 0
-        for j, kc in enumerate(kcs):
-            if np.any(pos):
-                out[pos, j] = eval_karp(kc, xi[pos], "+")
-            if np.any(~pos):
-                out[~pos, j] = eval_karp(kc, -xi[~pos], "-")
-        return out
-
     gap_modes = kc0.order + 2
     if xi_gap:
         if im_points is None or im_values is None:
@@ -488,7 +487,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
         xi_fit = np.concatenate([-band[::-1], band])
         coeffs, resid = _gap_completion(
             _outgoing_design(line_point(xi_fit), gap_center, kappa, gap_modes),
-            karp_vals(xi_fit),
+            _karp_sum(kcs, xi_fit),
             _outgoing_design(pts[inside], gap_center, kappa, gap_modes),
             vals[inside])
         if resid.max() > 0.05:
@@ -504,7 +503,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
             return out
         gap = np.abs(xi) < xi_gap
         if np.any(~gap):
-            out[~gap] = karp_vals(xi[~gap])
+            out[~gap] = _karp_sum(kcs, xi[~gap])
         if np.any(gap):
             out[gap] = _outgoing_design(line_point(xi[gap]), gap_center,
                                         kappa, gap_modes) @ coeffs
@@ -558,7 +557,10 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     the Karp gap feeds the completion fit there, so the sample set should
     also cover the near segment of the line at >= 10 points per wavelength.
     The sources must lie near the global origin on the non-V_L side of the
-    line (the geometry of every supported scenario). Without a schedule,
+    line (the geometry of every supported scenario). The Karp frame sits
+    where the rays start, and its trusted radius grows with that point's
+    distance from the sources, so callers should start both rays at the
+    foot of the origin on the line, as the CLI does. Without a schedule,
     schedule_for builds one for the larger noise_sigma of the two sample
     sets, so noisier data are read at smaller radii. The trace half-length
     S is the Karp trusted radius plus the Karp origin's distance along the
@@ -573,7 +575,6 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
                                                   samples_minus.noise_sigma))
     p0 = np.asarray(spec.line.point)
     t = np.asarray(spec.line.theta)
-    pts_list, im_list = [], []
     for s_set, name in ((samples_plus, "samples_plus"),
                         (samples_minus, "samples_minus")):
         o = np.asarray(s_set.ray.origin)
@@ -583,19 +584,16 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
             raise ValueError(f"{name} ray origin is not on spec.line")
         if abs(abs(float(d @ t)) - 1.0) > 1e-12:
             raise ValueError(f"{name} ray is not parallel to spec.line")
-        # undo the sqrt(|x|) weighting to recover Im psi at the sample points
-        pts = s_set.ray.point(s_set.abscissas)
-        rad = np.hypot(pts[:, 0], pts[:, 1])
-        ok = rad > 1e-12
-        pts_list.append(pts[ok])
-        im_list.append(s_set.values[ok] / np.sqrt(rad[ok]))
     ff = _stage("extract", extract_all, samples_plus, samples_minus,
                 order, schedule)
+    q, theta = _line_frame(samples_plus, samples_minus)
+    pts_p, _, im_p = _frame_im(samples_plus, q, theta, +1)
+    pts_m, _, im_m = _frame_im(samples_minus, q, theta, -1)
     kc = _stage("karp", karp_from_farfield, ff)
     S = _stage("trace", _trace_half_length, kc, spec.line, targets)
     trace = _stage("trace", karp_line_trace, kc, spec, S,
-                   im_points=np.vstack(pts_list),
-                   im_values=np.concatenate(im_list))
+                   im_points=np.vstack([pts_p, pts_m]),
+                   im_values=np.concatenate([im_p, im_m]))
     out = []
     for x in targets:
         out.append(_stage("propagate", propagate_halfplane,

@@ -276,6 +276,35 @@ def test_pipeline_noise_sets_schedule(tmp_path, sigma):
     assert read_report(out)["metrics"]["max_rel_err"] <= 1e-2
 
 
+def test_frame_sits_at_the_foot_of_the_origin(tmp_path):
+    # line.point slid along y = -2.25 names the same line: the rays and the
+    # Karp frame start at the foot of the origin, (0, -2.25), at every
+    # shift. A frame at line.point has a trusted radius that grows with the
+    # shift, past the data from a shift of 20 on.
+    lam = 2.0 * np.pi / KAPPA
+    base = {"field": {"terms": [{"type": "point_source", "y0": [0.3, 0.2],
+                                 "c": [1.0, 0.0]},
+                                {"type": "multipole", "m": 1,
+                                 "c": [0.5, 0.0]}], "source_radius": 0.5},
+            "order": 3, "interval": [-128.0 * lam, 128.0 * lam],
+            "targets": TARGETS[:4]}
+    errs = []
+    for shift in (0.0, 5.0, 10.0, 20.0, 40.0):
+        path = write_scenario(tmp_path, dict(base, line={
+            "point": [shift, -2.25], "direction": [1.0, 0.0]}),
+            name=f"shift{shift:g}")
+        out = tmp_path / f"out{shift:g}"
+        assert run_scenario(path, "pipeline", out_dir=out, quiet=True) == 0
+        errs.append(read_report(out)["metrics"]["max_rel_err"])
+    assert errs[0] <= 1e-3
+    assert errs == pytest.approx([errs[0]] * len(errs), rel=1e-6)
+    for command in ("extract", "karp"):  # at shift 40
+        out = tmp_path / command
+        assert run_scenario(path, command, out_dir=out, quiet=True) == 0
+        coeffs = json.loads((out / "coefficients.json").read_text())
+        assert coeffs["q"] == [0.0, -2.25]
+
+
 def test_pipeline_collapsed_window_is_an_extract_failure(tmp_path):
     # at kappa 5, order 3 and sigma 1e-4 the usable radius window of the
     # default schedule collapses; building it is part of the extract stage,

@@ -1,9 +1,11 @@
-"""Every module of the package uses what it imports.
+"""Every module of the package uses what it imports and defines.
 
 Each src/imfield module except the package's __init__ (which re-exports)
 is parsed with ast; a name an import binds that no expression of the
-module reads is an unused import. Standard library only, so it runs
-wherever the tests do.
+module reads is an unused import. A module-level private function or
+class that nothing in src/imfield references outside its own body has
+outlived its callers. Standard library only, so it runs wherever the
+tests do.
 """
 
 import ast
@@ -47,3 +49,32 @@ def test_gkl_reduce_extracts_in_the_karp_frame():
     for name in ("ImSamples", "RayGeometry", "extract_all",
                  "schedule_abscissas", "_trace_half_length"):
         assert name not in bound
+
+
+def _names_read(node):
+    """Names node reads, as a bare name or an attribute, or imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def test_every_private_definition_is_referenced():
+    defs, reads = [], []  # (module, name, index of the defining node)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=path.name).body:
+            reads.append(_names_read(node))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                defs.append((path.name, node.name, len(reads) - 1))
+    assert len(defs) > 50  # the walk found the package's privates
+    orphans = [(mod, name) for mod, name, own in defs
+               if not any(name in names for k, names in enumerate(reads)
+                          if k != own)]
+    assert not orphans, f"private definitions nothing references: {orphans}"

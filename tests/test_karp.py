@@ -27,6 +27,7 @@ from imfield import (
 )
 from imfield.karp import (
     KarpCoeffs,
+    _karp_sum,
     eval_karp,
     farfield_from_karp,
     karp_from_dict,
@@ -34,6 +35,7 @@ from imfield.karp import (
     karp_to_dict,
     lommel_karp_oracle,
 )
+from imfield.specfun import _hankel01
 
 KAPPA = 5.0
 
@@ -288,6 +290,40 @@ def test_eval_karp_array_and_errors():
         eval_karp(kc, 0.0, "+")
     with pytest.raises(ValueError):
         eval_karp(kc, 1.0, "up")
+
+
+def _karp_sum_per_side(kc, r, side):
+    """Horner sums of one side's coefficient lists, the antipodal ones
+    from the parity rules (the reference for _karp_sum's signed sums)."""
+    F, G = (kc.F, kc.G) if side > 0 else kc.antipodal()
+    u = 1.0 / r
+    sum_f = np.zeros(r.shape, dtype=complex)
+    sum_g = np.zeros(r.shape, dtype=complex)
+    for j in range(kc.order, -1, -1):
+        sum_f = sum_f * u + F[j]
+        sum_g = sum_g * u + G[j]
+    h0, h1 = _hankel01(kc.kappa * r)
+    return h0 * sum_f + h1 * sum_g
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_karp_sum_columns_match_per_side_sums(order):
+    rng = np.random.default_rng(order)
+    kcs = [KarpCoeffs(kappa=KAPPA, phi=0.7, F=rng.standard_normal(order + 1)
+                      + 1j * rng.standard_normal(order + 1),
+                      G=rng.standard_normal(order + 1)
+                      + 1j * rng.standard_normal(order + 1))
+           for _ in range(4)]
+    xi = rng.uniform(0.2, 400.0, 101) * rng.choice([-1.0, 1.0], 101)
+    got = _karp_sum(kcs, xi)
+    assert got.shape == (101, 4)
+    for k, kc in enumerate(kcs):
+        for side in (+1, -1):
+            on = side * xi > 0
+            r = np.abs(xi[on])
+            want = _karp_sum_per_side(kc, r, side)
+            assert np.array_equal(got[on, k], want)
+            assert np.array_equal(eval_karp(kc, r, side), want)
 
 
 # ---------------------------------------------------------------------------

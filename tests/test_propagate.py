@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imfield.karp as karp_mod
 import imfield.propagate as propagate_mod
 import imfield.specfun as specfun
 from imfield import (
@@ -382,16 +383,25 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
     vals = np.stack([_gap_data(f)[1] for f in fields]
                     + [np.zeros(pts.shape[0])], axis=1)
     s = np.linspace(-150.0, 150.0, 4001)
-    fits = []
+    fits, pairs = [], []
     real = propagate_mod._gap_completion
 
     def counting(*args):
         fits.append(args[1].shape)
         return real(*args)
 
+    def counting_pair(x):
+        pairs.append(np.shape(x))
+        return _hankel01(x)
+
     monkeypatch.setattr(propagate_mod, "_gap_completion", counting)
+    monkeypatch.setattr(karp_mod, "_hankel01", counting_pair)
     got = _karp_line_traces(kcs, SPEC, im_points=pts, im_values=vals)(s)
     assert fits == [(160, 4)]
+    # the Karp sums of all four series take one H_0, H_1 pass per point
+    # set: the flank bands, then the evaluation points outside the gap
+    outside = np.abs(s) >= _trusted_radius(kcs[0])  # q = line.point
+    assert pairs == [(160, 1), (np.count_nonzero(outside), 1)]
     assert got.shape == (s.size, 4)
     one = karp_line_trace(kcs[0], SPEC, 200 * LAM, im_points=pts,
                           im_values=vals[:, 0]).psi(s)
