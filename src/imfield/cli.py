@@ -40,11 +40,11 @@ import numpy as np
 
 from .farfield import (
     ExtractionSchedule,
-    _frame_im,
+    _line_data,
+    _line_farfield,
     _lookup,
     _pair_abscissas,
     _raw_estimates,
-    extract_all,
     farfield_to_dict,
     schedule_abscissas,
     schedule_for,
@@ -62,6 +62,7 @@ from .propagate import (
     HalfPlaneSpec,
     LineSpec,
     LineTrace,
+    _GapCoverageError,
     _foot,
     _stage,
     _stage_timings,
@@ -374,20 +375,21 @@ def _run_synth(sc: Scenario) -> _RunResult:
 
 
 def _extract_pair(sc: Scenario):
+    """Schedule, line data of the two rays, and their far-field coefficients."""
     sched = _stage("extract", _scenario_schedule, sc)
-    sp, sm = _ray_samples(sc, schedule_abscissas(sched))
-    ff = _stage("extract", extract_all, sp, sm, sc.order, sched)
-    return sched, sp, ff
+    data = _stage("extract", _line_data,
+                  *_ray_samples(sc, schedule_abscissas(sched)))
+    ff, = _stage("extract", _line_farfield, *data, sc.order, sched, sc.kappa)
+    return sched, data, ff
 
 
 def _run_extract(sc: Scenario) -> _RunResult:
-    sched, sp, ff = _extract_pair(sc)
+    sched, (_, _, xi, im), ff = _extract_pair(sc)
     # raw two-point estimates of f_0 on the plus ray, in the Karp frame; their
     # deviation from the extrapolated value decays like 1/r on exact data
-    _, xi, im = _frame_im(sp, ff.origin_shift, sc.line.theta, +1)
     s = _pair_abscissas(sched.radii, sched.tau)
-    raw = _raw_estimates(np.sqrt(s) * _lookup(xi, im, s), s, (), sc.kappa,
-                         sched.tau)
+    raw = _raw_estimates(np.sqrt(s) * _lookup(xi, im[:, 0], s), s, (),
+                         sc.kappa, sched.tau)
     f0 = ff.f_plus[0]
     devs = np.abs(raw - f0)
     rows = list(zip(sched.radii, raw.real, raw.imag, devs))
@@ -442,17 +444,25 @@ def _target_rows(field, targets, values):
                           "max_rel_err": float(max_rel)}
 
 
-def _run_propagate(sc: Scenario) -> _RunResult:
-    spec = _halfplane_toward(sc.line, (0.0, 0.0))
+def _foot_halfplane(sc: Scenario) -> HalfPlaneSpec:
+    """The scenario's half plane, its line anchored at the foot of the origin
+    whatever line.point says; the targets must lie in it."""
+    spec = _halfplane_toward(
+        replace(sc.line, point=tuple(_foot(sc.line, (0.0, 0.0)))), (0.0, 0.0))
     _require_targets_in_halfplane(sc, spec)
-    p0 = np.asarray(sc.line.point)
-    t = np.asarray(sc.line.theta)
+    return spec
+
+
+def _run_propagate(sc: Scenario) -> _RunResult:
+    spec = _foot_halfplane(sc)
+    p0 = np.asarray(spec.line.point)
+    t = np.asarray(spec.line.theta)
 
     def on_line(s):
         s = np.asarray(s, dtype=float)
         return eval_field(sc.field, p0 + s[..., None] * t)
 
-    trace = LineTrace(S=_window_half_length(sc.line, sc.targets, sc.kappa),
+    trace = LineTrace(S=_window_half_length(spec.line, sc.targets, sc.kappa),
                       panels_per_wavelength=10, func=on_line)
     values = [_stage("propagate", propagate_halfplane, trace, spec, x, sc.kappa)
               for x in sc.targets]
@@ -531,11 +541,8 @@ def _run_gkl(sc: Scenario) -> _RunResult:
                       rows)
 
 
-def _run_pipeline(sc: Scenario) -> _RunResult:
-    # the trace abscissa, like the rays and the Karp frame, starts at the foot
-    spec = _halfplane_toward(
-        replace(sc.line, point=tuple(_foot(sc.line, (0.0, 0.0)))), (0.0, 0.0))
-    _require_targets_in_halfplane(sc, spec)
+def _reconstruct(sc: Scenario, spec: HalfPlaneSpec):
+    """reconstruct_from_im on samples over the data extent at sc.order."""
     lam = 2.0 * np.pi / sc.kappa
     sched = _stage("extract", _scenario_schedule, sc)
     extent = 64.0 * lam
@@ -544,9 +551,21 @@ def _run_pipeline(sc: Scenario) -> _RunResult:
     dense = np.arange(lam / 24.0, extent, lam / 12.0)
     s_absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
     sp, sm = _ray_samples(sc, s_absc)
-    values = reconstruct_from_im(sp, sm, sc.order, spec, list(sc.targets),
-                                 schedule=sched)
+    return reconstruct_from_im(sp, sm, sc.order, spec, list(sc.targets),
+                               schedule=sched)
+
+
+def _run_pipeline(sc: Scenario) -> _RunResult:
+    spec = _foot_halfplane(sc)
+    try:
+        values = _reconstruct(sc, spec)
+    except _GapCoverageError:
+        # the Karp gap outran the data; one order up trusts the series
+        # nearer its origin
+        sc = replace(sc, order=sc.order + 1)
+        values = _reconstruct(sc, spec)
     rows, header, metrics = _target_rows(sc.field, sc.targets, values)
+    metrics["karp_order"] = sc.order
     return _RunResult(metrics, header, rows)
 
 

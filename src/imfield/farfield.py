@@ -10,9 +10,11 @@ in 1/r.
 
 Abscissa convention: all extraction operations interpret an abscissa s as
 the distance |x| from the expansion origin (the frame in which the f_j are
-defined). extract_all converts raw line samples with _frame_im to Im psi at
-the distance s from the midpoint q of the ray origins, weighted by sqrt(s);
-the lower-level operations expect samples already in the frame.
+defined); the lower-level operations expect samples already in the frame.
+Data on a line take one form, line data: Im psi at the sorted signed
+abscissas xi of a frame at a point q of the line, one column per series.
+_line_data builds it from a ray pair (gkl_reduce builds its own), and
+_line_farfield extracts every column; extract_all chains the two.
 """
 
 from __future__ import annotations
@@ -188,19 +190,21 @@ def _lookup(a, values, s) -> np.ndarray:
 
     One searchsorted serves every s. Each s takes the nearest abscissa of
     a, which must match it within 1e-9 relative; the first miss in
-    schedule order (r_0, r_0 + tau, r_1, ...) is named in the error.
+    schedule order (r_0, r_0 + tau, r_1, ...) is named in the error by its
+    distance |s|, with the side when s < 0.
     """
     s = np.asarray(s, dtype=float)
-    if a.size == 0:
-        raise ValueError(f"required abscissa {float(s.T.flat[0])!r} "
-                         "not present in samples")
-    hi = np.minimum(np.searchsorted(a, s), a.size - 1)
-    lo = np.maximum(hi - 1, 0)
-    idx = np.where(np.abs(a[hi] - s) < np.abs(a[lo] - s), hi, lo)
-    miss = np.abs(a[idx] - s) > 1e-9 * np.maximum(1.0, np.abs(s))
+    miss = np.ones(s.shape, dtype=bool)
+    if a.size:
+        hi = np.minimum(np.searchsorted(a, s), a.size - 1)
+        lo = np.maximum(hi - 1, 0)
+        idx = np.where(np.abs(a[hi] - s) < np.abs(a[lo] - s), hi, lo)
+        miss = np.abs(a[idx] - s) > 1e-9 * np.maximum(1.0, np.abs(s))
     if np.any(miss):
-        raise ValueError(f"required abscissa {float(s.T[miss.T][0])!r} "
-                         "not present in samples")
+        bad = float(s.T[miss.T][0])
+        side = " on the minus side" if bad < 0 else ""
+        raise ValueError(f"required abscissa {abs(bad)!r} not present in "
+                         f"samples{side}")
     return values[idx]
 
 
@@ -329,41 +333,38 @@ def extract_sequence_extrapolated(estimates, depth: int) -> complex:
     return complex(_neville(t, [v for _, v in pts], depth))
 
 
-def _line_frame(samples_plus: ImSamples, samples_minus: ImSamples):
-    """Validate collinear, oppositely-oriented rays; return (q, theta).
+def _line_data(samples_plus: ImSamples, samples_minus: ImSamples):
+    """Line data (q, theta, xi, im) of two opposite rays on one line.
 
-    q is the midpoint of the two ray origins and theta the direction of
-    the plus ray.
+    q is the midpoint of the ray origins and theta the plus ray's
+    direction; xi holds the sorted signed frame abscissas (x - q) . theta
+    of the samples, negative on the minus ray, and im (n, 1) their Im psi
+    without the sqrt(|x|) weight about the global origin.
     """
+    if samples_plus.kappa != samples_minus.kappa:
+        raise ValueError("sample sets disagree on kappa")
     rp, rm = samples_plus.ray, samples_minus.ray
     dp = rp.orientation * np.asarray(rp.direction)
     dm = rm.orientation * np.asarray(rm.direction)
     if abs(dp @ dm + 1.0) > 1e-12:
         raise ValueError("rays must point in opposite directions")
-    op = np.asarray(rp.origin)
-    om = np.asarray(rm.origin)
-    gap = om - op
-    cross = gap[0] * dp[1] - gap[1] * dp[0]
-    if abs(cross) > 1e-9 * max(1.0, float(np.hypot(*gap))):
+    gap = np.subtract(rm.origin, rp.origin)
+    if abs(gap[0] * dp[1] - gap[1] * dp[0]) > 1e-9 * max(1.0, float(np.hypot(*gap))):
         raise ValueError("rays are not collinear")
-    return 0.5 * (op + om), dp
-
-
-def _frame_im(samples: ImSamples, q, theta, sign: int):
-    """A ray's sample points, their abscissas in the frame at q, and Im psi.
-
-    sign is +1 for the ray along theta and -1 for the opposite ray; the
-    abscissa of a point x is (x - q) . (sign theta), its distance from q.
-    The values lose their sqrt(|x|) weight about the global origin.
-    """
-    pts = samples.ray.point(samples.abscissas)
-    xi = (pts - np.asarray(q)) @ (sign * np.asarray(theta))
-    if np.any(xi <= 0):
+    q = 0.5 * np.add(rp.origin, rm.origin)
+    pts = np.vstack([rp.point(samples_plus.abscissas),
+                     rm.point(samples_minus.abscissas)])
+    xi = (pts - q) @ dp
+    n_plus = samples_plus.abscissas.size
+    if np.any(xi[:n_plus] <= 0) or np.any(xi[n_plus:] >= 0):
         raise ValueError("a sample lies on the wrong side of the shift point")
     r_global = np.hypot(pts[:, 0], pts[:, 1])
     if np.any(r_global == 0):
         raise ValueError("a sample sits at the global origin; cannot un-weight")
-    return pts, xi, samples.values / np.sqrt(r_global)
+    im = np.concatenate([samples_plus.values, samples_minus.values]) \
+        / np.sqrt(r_global)
+    order = np.argsort(xi)
+    return q, dp, xi[order], im[order, None]
 
 
 def _extract_orders(data, n: int, schedule: ExtractionSchedule,
@@ -385,6 +386,23 @@ def _extract_orders(data, n: int, schedule: ExtractionSchedule,
     return known
 
 
+def _line_farfield(q, theta, xi, im, n: int, schedule: ExtractionSchedule,
+                   kappa: float) -> list:
+    """One FarFieldCoeffs (f_0..f_n, origin_shift = q) per column of line data.
+
+    One lookup reads every column at +-(r, r + tau), weighted by sqrt(s),
+    and one _extract_orders pass extracts every column on both sides.
+    """
+    if abs(np.sin(kappa * schedule.tau)) < 0.5:
+        raise ValueError("schedule tau violates |sin(kappa tau)| >= 0.5")
+    s = _pair_abscissas(schedule.radii, schedule.tau)
+    data = np.moveaxis(_lookup(xi, im, np.stack([s, -s])), -1, 0) * np.sqrt(s)
+    phi = float(np.arctan2(theta[1], theta[0]))
+    return [FarFieldCoeffs(kappa=kappa, phi=phi, f_plus=fp, f_minus=fm,
+                           origin_shift=(float(q[0]), float(q[1])))
+            for fp, fm in _extract_orders(data, n, schedule, kappa)]
+
+
 def extract_all(samples_plus: ImSamples, samples_minus: ImSamples, n: int,
                 schedule: ExtractionSchedule) -> FarFieldCoeffs:
     """Far-field coefficients f_0..f_n at both angles of a sampled line.
@@ -396,20 +414,9 @@ def extract_all(samples_plus: ImSamples, samples_minus: ImSamples, n: int,
     (origin_shift = q). Every schedule radius r and its pair r + tau must
     be resolvable in both sample sets after the shift.
     """
-    if samples_plus.kappa != samples_minus.kappa:
-        raise ValueError("sample sets disagree on kappa")
-    kappa = samples_plus.kappa
-    if abs(np.sin(kappa * schedule.tau)) < 0.5:
-        raise ValueError("schedule tau violates |sin(kappa tau)| >= 0.5")
-    q, theta = _line_frame(samples_plus, samples_minus)
-    s = _pair_abscissas(schedule.radii, schedule.tau)
-    data = np.stack([
-        np.sqrt(s) * _lookup(*_frame_im(samples, q, theta, sign)[1:], s)
-        for samples, sign in ((samples_plus, +1), (samples_minus, -1))])
-    f_plus, f_minus = _extract_orders(data, n, schedule, kappa)
-    phi = float(np.arctan2(theta[1], theta[0]))
-    return FarFieldCoeffs(kappa=kappa, phi=phi, f_plus=f_plus, f_minus=f_minus,
-                          origin_shift=(float(q[0]), float(q[1])))
+    ff, = _line_farfield(*_line_data(samples_plus, samples_minus), n,
+                         schedule, samples_plus.kappa)
+    return ff
 
 
 def extract_least_squares(samples: ImSamples, n: int, model_order: int = None):

@@ -15,18 +15,21 @@ evaluated fields.
 
 reconstruct_from_im chains the full pipeline: far-field extraction from
 imaginary-part samples, conversion to a Karp expansion, evaluation of the
-expansion back on the line, and propagation into the half-plane. The Karp
-series is trusted only where its last kept term is a small fraction of its
-leading one, which leaves a gap segment around the expansion origin q
-uncovered (no truncation order helps near q, where the series cannot
-converge at all). The gap is completed by a short outgoing-multipole
-expansion about the global origin, fitted by least squares to two row
-families at once: values of the trusted Karp flanks, and the measured
-imaginary parts inside the gap. Neither family works alone - the flanks see
-the origin under two thin angle clusters and cannot resolve the angular
-content, while imaginary parts leave the real part unconstrained - but a
-radiating field is determined by its imaginary part on a line, and the
-combined fit recovers the gap trace at the accuracy level of the flanks.
+expansion back on the line, and propagation into the half-plane. The
+samples become line data once (farfield._line_data: Im psi at signed
+Karp-frame abscissas), which both the extraction and the gap fit read.
+The Karp series is trusted only where its last kept term is a small
+fraction of its leading one, which leaves a gap segment around the
+expansion origin q uncovered (no truncation order helps near q, where the
+series cannot converge at all). The gap is completed by a short
+outgoing-multipole expansion about the global origin, fitted by least
+squares to two row families at once: values of the trusted Karp flanks,
+and the measured imaginary parts inside the gap. Neither family works
+alone - the flanks see the origin under two thin angle clusters and cannot
+resolve the angular content, while imaginary parts leave the real part
+unconstrained - but a radiating field is determined by its imaginary part
+on a line, and the combined fit recovers the gap trace at the accuracy
+level of the flanks.
 
 The trusted radius grows with the distance of q from the sources, so q
 sits at the foot on L of the gap centre (_foot): of the origin for the
@@ -43,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .farfield import (ExtractionSchedule, _frame_im, _line_frame,
-                       extract_all, schedule_for)
+from .farfield import (ExtractionSchedule, _line_data, _line_farfield,
+                       schedule_for)
 from .fields import ImSamples
 from .karp import KarpCoeffs, _karp_sum, karp_from_farfield
 from .specfun import _outgoing_design, hankel1
@@ -394,8 +397,9 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     so the trace there comes from a fitted multipole expansion about
     gap_center (default: the global origin, which the sources surround in
     every supported scenario), anchored to the trusted flanks and to
-    measured imaginary parts: im_points (N x 2 line points) with im_values
-    = Im psi there must cover the gap at >= 10 samples per wavelength.
+    measured imaginary parts: im_points (N x 2 points on spec.line, turned
+    into Karp-frame abscissas here) with im_values = Im psi there must
+    cover the gap at >= 10 samples per wavelength.
     The fit uses multipole orders |m| <= kc.order + 2; higher counts
     overfit the flanks.
     A RuntimeError reports a trusted start plus 10-wavelength fit band
@@ -407,25 +411,34 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
         raise RuntimeError(
             f"Karp series is trusted only beyond {xi_gap:.3g} from "
             f"its origin, too far out for trace half-length S={S:.3g}")
-    if im_values is not None:
-        im_values = np.expand_dims(np.asarray(im_values, dtype=float), -1)
-    psi = _karp_line_traces([kc], spec, im_points, im_values, gap_center)
+    xi = im = None
+    if im_points is not None and im_values is not None:
+        pts = np.asarray(im_points, dtype=float)
+        t = np.asarray(spec.line.theta)
+        if np.max(np.abs((pts - spec.line.point) @ (-t[1], t[0]))) > 1e-9:
+            raise ValueError("im_points must lie on spec.line")
+        xi = (pts - kc.origin_shift) @ (np.cos(kc.phi), np.sin(kc.phi))
+        im = np.expand_dims(np.asarray(im_values, dtype=float), -1)
+    psi = _karp_line_traces([kc], spec, xi, im, gap_center)
     return LineTrace(S=S, func=lambda s: psi(s)[..., 0])
 
 
-def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
-                      im_values=None, gap_center=None):
+class _GapCoverageError(ValueError):
+    """The imaginary-part data stop short of the Karp gap."""
+
+
+def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
+                      gap_center=None):
     """Line traces of several Karp series of one frame, one column each.
 
     The series must share kappa, phi, origin_shift and order (the Karp
-    conversions of one ray pair, one per source); im_values (N x len(kcs))
-    holds one column of imaginary parts per series at the shared
-    im_points. The series share one gap, the widest of their trusted
-    radii (_shared_gap), so each is trusted outside it; the gap data are
-    checked once, and one least-squares fit over one design per point set
-    (the measured points in the gap, the flank bands, the evaluation
-    points in the gap) completes every series, one right-hand-side column
-    each.
+    conversions of one ray pair, one per source) and run along spec.line;
+    the gap data are line data, Im psi (n x len(kcs)) im at the signed
+    Karp-frame abscissas xi. The series share one gap, the widest of their
+    trusted radii (_shared_gap), so each is trusted outside it; the gap
+    data are checked once (_GapCoverageError if they stop short), and one
+    least-squares fit over one design per point set completes every
+    series, one right-hand-side column each.
     Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
     """
     kc0 = kcs[0]
@@ -444,6 +457,8 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
         raise ValueError("Karp origin_shift does not lie on spec.line")
     s_q = float(off @ t)  # line abscissa of q
     theta_k = np.array([np.cos(kc0.phi), np.sin(kc0.phi)])
+    if abs(abs(float(theta_k @ t)) - 1.0) > 1e-12:
+        raise ValueError("the Karp frame does not run along spec.line")
     # orientation of the Karp angle along the line parameterization
     sign = 1.0 if float(theta_k @ t) > 0 else -1.0
     xi_gap = _shared_gap(kcs)
@@ -453,27 +468,20 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
 
     gap_modes = kc0.order + 2
     if xi_gap:
-        if im_points is None or im_values is None:
+        if xi is None or im is None:
             raise ValueError(
-                "the Karp gap needs imaginary-part data: pass im_points and "
-                "im_values covering |s - s_q| <= xi_gap on the line")
-        pts = np.asarray(im_points, dtype=float)
-        vals = np.asarray(im_values, dtype=float)
-        if (pts.ndim != 2 or pts.shape[1] != 2
-                or vals.shape != (pts.shape[0], len(kcs))):
-            raise ValueError(
-                "im_points must be (n, 2) with matching im_values")
-        s_pts = (pts - p0) @ t
-        stray = pts - (p0 + np.multiply.outer(s_pts, t))
-        if np.max(np.hypot(stray[:, 0], stray[:, 1])) > 1e-9:
-            raise ValueError("im_points must lie on spec.line")
-        xi_pts = sign * (s_pts - s_q)
-        inside = np.abs(xi_pts) <= xi_gap
-        xs = np.sort(xi_pts[inside])
+                "the Karp gap needs imaginary-part data covering "
+                "|s - s_q| <= xi_gap on the line")
+        xi, im = np.asarray(xi, dtype=float), np.asarray(im, dtype=float)
+        if xi.ndim != 1 or im.shape != (xi.size, len(kcs)):
+            raise ValueError("gap data must be abscissas (n,) with "
+                             "imaginary parts (n, series)")
+        inside = np.abs(xi) <= xi_gap
+        xs = np.sort(xi[inside])
         step = lam / 10.0 + 1e-9
         if (xs.size < 2 or xs[0] > -xi_gap + step
                 or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
-            raise ValueError(
+            raise _GapCoverageError(
                 f"imaginary-part data must cover |s - s_q| <= "
                 f"{xi_gap:.3g} at >= 10 samples per wavelength")
         if gap_center is None:
@@ -488,8 +496,9 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, im_points=None,
         coeffs, resid = _gap_completion(
             _outgoing_design(line_point(xi_fit), gap_center, kappa, gap_modes),
             _karp_sum(kcs, xi_fit),
-            _outgoing_design(pts[inside], gap_center, kappa, gap_modes),
-            vals[inside])
+            _outgoing_design(line_point(xi[inside]), gap_center, kappa,
+                             gap_modes),
+            im[inside])
         if resid.max() > 0.05:
             raise RuntimeError(
                 f"gap completion is inconsistent with the Karp flanks "
@@ -549,53 +558,37 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
                         schedule: ExtractionSchedule = None):
     """Field values at targets in V_L from imaginary-part samples on L.
 
-    Pipeline: extract_all -> karp_from_farfield -> karp_line_trace ->
-    propagate_halfplane per target, all from the one trace, which is
-    evaluated once on the quadrature nodes. Stage labels are prefixed onto any
-    error raised along the way. The samples do double duty: the extraction
-    schedule abscissas feed the far-field solve, and every sample inside
-    the Karp gap feeds the completion fit there, so the sample set should
-    also cover the near segment of the line at >= 10 points per wavelength.
-    The sources must lie near the global origin on the non-V_L side of the
-    line (the geometry of every supported scenario). The Karp frame sits
-    where the rays start, and its trusted radius grows with that point's
-    distance from the sources, so callers should start both rays at the
-    foot of the origin on the line, as the CLI does. Without a schedule,
-    schedule_for builds one for the larger noise_sigma of the two sample
-    sets, so noisier data are read at smaller radii. The trace half-length
-    S is the Karp trusted radius plus the Karp origin's distance along the
-    line plus 12 wavelengths, and at least 50 wavelengths; it grows further
-    when a target's foot on the line (or the origin's) would come within 5
-    wavelengths of the edge of the window's flat part |s| <= 0.3 S, which
-    keeps the windowed propagation near rounding.
+    Pipeline: the ray pair becomes line data once (farfield._line_data),
+    which feeds _line_farfield -> karp_from_farfield and the gap fit of
+    _karp_line_traces; propagate_halfplane then runs per target from the
+    one trace, which is evaluated once on the quadrature nodes. Stage
+    labels are prefixed onto any error raised along the way. The samples
+    do double duty: the schedule abscissas feed the far-field solve, and
+    the samples in the Karp gap feed its completion fit, so they should
+    also cover the near segment of the line at >= 10 points per
+    wavelength. The rays must lie on spec.line, with the sources near the
+    global origin on its non-V_L side. The Karp frame sits where the rays
+    start, and its trusted radius grows with that point's distance from
+    the sources, so callers should start both rays at the foot of the
+    origin on the line, as the CLI does. Without a schedule, schedule_for
+    builds one for the larger noise_sigma of the two sample sets. The
+    trace half-length S is the Karp trusted radius plus the Karp origin's
+    distance along the line plus 12 wavelengths, at least 50 wavelengths,
+    and wide enough that every target's foot on the line (and the
+    origin's) sits 5 wavelengths inside the window's flat part
+    |s| <= 0.3 S, which keeps the windowed propagation near rounding.
     """
     kappa = samples_plus.kappa
     if schedule is None:
         schedule = schedule_for(kappa, order, max(samples_plus.noise_sigma,
                                                   samples_minus.noise_sigma))
-    p0 = np.asarray(spec.line.point)
-    t = np.asarray(spec.line.theta)
-    for s_set, name in ((samples_plus, "samples_plus"),
-                        (samples_minus, "samples_minus")):
-        o = np.asarray(s_set.ray.origin)
-        d = s_set.ray.orientation * np.asarray(s_set.ray.direction)
-        off = o - p0
-        if abs(off[0] * t[1] - off[1] * t[0]) > 1e-9 * max(1.0, float(np.hypot(*off))):
-            raise ValueError(f"{name} ray origin is not on spec.line")
-        if abs(abs(float(d @ t)) - 1.0) > 1e-12:
-            raise ValueError(f"{name} ray is not parallel to spec.line")
-    ff = _stage("extract", extract_all, samples_plus, samples_minus,
-                order, schedule)
-    q, theta = _line_frame(samples_plus, samples_minus)
-    pts_p, _, im_p = _frame_im(samples_plus, q, theta, +1)
-    pts_m, _, im_m = _frame_im(samples_minus, q, theta, -1)
+    q, theta, xi, im = _stage("extract", _line_data, samples_plus,
+                              samples_minus)
+    ff, = _stage("extract", _line_farfield, q, theta, xi, im, order,
+                 schedule, kappa)
     kc = _stage("karp", karp_from_farfield, ff)
     S = _stage("trace", _trace_half_length, kc, spec.line, targets)
-    trace = _stage("trace", karp_line_trace, kc, spec, S,
-                   im_points=np.vstack([pts_p, pts_m]),
-                   im_values=np.concatenate([im_p, im_m]))
-    out = []
-    for x in targets:
-        out.append(_stage("propagate", propagate_halfplane,
-                          trace, spec, x, kappa))
-    return out
+    psi = _stage("trace", _karp_line_traces, [kc], spec, xi, im)
+    trace = LineTrace(S=S, func=lambda s: psi(s)[..., 0])
+    return [_stage("propagate", propagate_halfplane, trace, spec, x, kappa)
+            for x in targets]

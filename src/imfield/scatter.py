@@ -59,12 +59,13 @@ gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
 from Omega only, and G is added back at the end. One field with a column
-per source evaluates D in two calls, the line points with both rays and
-then the gap lattice. The rays leave the foot q of the support centre
-(propagate._foot) at the extraction's own abscissas s, so sqrt(s) Im D
-of all sources feeds one batched far-field extraction in the Karp frame
-at q. The traces of all sources share one gap, the widest of their
-trusted radii, one gap fit and one Karp sum per point set.
+per source evaluates D in two calls, the line points with the extraction
+abscissas and then the gap lattice. Both point sets are line data in the
+Karp frame at the foot q of the support centre (propagate._foot): Im D
+at +-(r, r + tau) of the schedule feeds one farfield._line_farfield
+call for all sources, and Im D on the gap lattice the one gap fit of
+their traces, which share one gap, the widest of their trusted radii,
+and one Karp sum per point set.
 """
 
 from __future__ import annotations
@@ -76,8 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
-from .farfield import (FarFieldCoeffs, _extract_orders, _pair_abscissas,
-                       schedule_for)
+from .farfield import _line_farfield, _pair_abscissas, schedule_for
 from .karp import karp_from_farfield
 from .propagate import (HalfPlaneSpec, LineSpec, _foot, _karp_line_traces,
                         _shared_gap)
@@ -766,12 +766,13 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     Lambda is n_points equally spaced points of the interval (given in the
     line's abscissa). For each source y in Lambda the free part is removed,
     D = R + G, whose imaginary part on the line is Im R + (1/4) J_0(kappa
-    |x - y|); D radiates from Omega only. Samples sqrt(s) Im D on the
-    line's two rays, s the distance from the foot of the support centre,
-    feed one batched far-field extraction in that Karp frame and a Karp
-    series per source. The line traces of all sources share one gap, the
-    widest of their trusted radii, completed by one gap fit with a column
-    per source; subtracting G turns D into R.
+    |x - y|); D radiates from Omega only. Im D at the signed abscissas
+    +-(r, r + tau) of the schedule, in the Karp frame at the foot of the
+    support centre, is line data with a column per source: one
+    _line_farfield call extracts them all, for a Karp series per source.
+    The line traces of all sources share one gap, the widest of their
+    trusted radii, completed by one gap fit on Im D at a gap lattice of
+    abscissas, with a column per source; subtracting G turns D into R.
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
@@ -800,10 +801,11 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     s_pts = np.linspace(s_min, s_max, n_points)
     lam_pts = p0 + np.multiply.outer(s_pts, theta)
 
-    # both rays leave the Karp origin (the foot of the support center)
+    # line data in the Karp frame at the foot of the support center: both
+    # sides of the extraction's own abscissas
     schedule = schedule_for(kappa, order, data_tol)
     pair = _pair_abscissas(schedule.radii, schedule.tau)
-    ray_pts = origin + np.multiply.outer(np.stack([pair, -pair]), theta)
+    xi = np.sort(np.stack([pair, -pair]), axis=None)
 
     # D = R + G on the line points, column j for source j: recovered from
     # the line data, and read directly off the interior solution
@@ -816,28 +818,21 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         d_field = VolumeField(kappa, None,
                               grid.v_flat[:, None] * core.solve(rhs), core,
                               grid.cell_size)
-        # one call for the line points and both rays, one for the gap
-        # lattice, each for every source at once
-        d_all = d_field.correction(np.vstack([lam_pts,
-                                              ray_pts.reshape(-1, 2)]))
+        # one call for the line points and the extraction abscissas, one
+        # for the gap lattice, each for every source at once
+        d_all = d_field.correction(np.vstack([
+            lam_pts, origin + np.multiply.outer(xi, theta)]))
         d_direct = d_all[:n_points]
-        # weighted samples sqrt(s) Im D, shape (sources, 2 rays, 2, R)
-        data = np.sqrt(pair) * d_all[n_points:].imag.T.reshape(
-            (n_points, 2) + pair.shape)
-        coeffs = _extract_orders(data, order, schedule, kappa)
-        phi = np.arctan2(theta[1], theta[0])
-        karps = [karp_from_farfield(FarFieldCoeffs(
-            kappa=kappa, phi=phi, f_plus=fp, f_minus=fm,
-            origin_shift=tuple(origin))) for fp, fm in coeffs]
+        karps = [karp_from_farfield(ff) for ff in _line_farfield(
+            origin, theta, xi, d_all[n_points:].imag, order, schedule, kappa)]
         # one dense two-sided lambda/12 lattice covering the sources' one
         # shared gap, and one gap fit for every source
         step = lam / 12.0
         m = int(np.ceil((_shared_gap(karps) + lam) / step))
         xs = (np.arange(-m, m) + 0.5) * step
-        gap_pts = origin + np.multiply.outer(xs, theta)
-        im_gap = d_field.correction(gap_pts).imag
-        traces = _karp_line_traces(karps, spec, im_points=gap_pts,
-                                   im_values=im_gap, gap_center=tuple(center))
+        im_gap = d_field.correction(origin + np.multiply.outer(xs, theta)).imag
+        traces = _karp_line_traces(karps, spec, xs, im_gap,
+                                   gap_center=tuple(center))
         d_recovered = traces(s_pts)
 
     # R = D - G off the diagonal, where G(x_i - x_j) is finite

@@ -240,6 +240,24 @@ def test_propagate_far_target_widens_trace(tmp_path):
     assert read_report(out)["metrics"]["max_rel_err"] <= 1e-11
 
 
+def test_propagate_window_sits_at_the_foot_of_the_origin(tmp_path):
+    # line.point slid along y = -2.25 names the same line: the trace and its
+    # quadrature window are anchored at the foot of the origin, so the
+    # result does not depend on the shift (a window centred on line.point
+    # grows with the shift)
+    errs = []
+    for shift in (0.0, 20.0, 40.0):
+        path = write_scenario(tmp_path, {
+            "field": PS_FIELD, "targets": TARGETS[:4],
+            "line": {"point": [shift, -2.25], "direction": [1.0, 0.0]}},
+            name=f"shift{shift:g}")
+        out = tmp_path / f"out{shift:g}"
+        assert run_scenario(path, "propagate", out_dir=out, quiet=True) == 0
+        errs.append(read_report(out)["metrics"]["max_rel_err"])
+    assert errs[0] <= 1e-11
+    assert errs == pytest.approx([errs[0]] * 3, rel=1e-10, abs=0.0)
+
+
 def test_pipeline_point_source_demo(tmp_path):
     path = write_scenario(tmp_path, {
         "field": PS_FIELD, "line": LINE, "order": 3, "targets": TARGETS},
@@ -249,6 +267,7 @@ def test_pipeline_point_source_demo(tmp_path):
     rep = read_report(out)
     assert rep["status"] == "ok"
     assert rep["metrics"]["max_rel_err"] <= 1e-2
+    assert rep["metrics"]["karp_order"] == 3  # no retry needed
     header, rows = read_csv(out)
     assert len(rows) == len(TARGETS)
     assert not (out / "coefficients.json").exists()
@@ -303,6 +322,42 @@ def test_frame_sits_at_the_foot_of_the_origin(tmp_path):
         assert run_scenario(path, command, out_dir=out, quiet=True) == 0
         coeffs = json.loads((out / "coefficients.json").read_text())
         assert coeffs["q"] == [0.0, -2.25]
+
+
+def _m2_scenario(tmp_path, extent, name, order=3):
+    """kappa 7.7 with an m = 2 multipole: at order 3 the Karp gap (121
+    units) outruns 128 wavelengths of data (104.6 units); at order 4 it
+    reaches 58.8 units."""
+    lam = 2.0 * np.pi / 7.7
+    return write_scenario(tmp_path, {
+        "kappa": 7.7,
+        "field": {"terms": [{"type": "multipole", "m": 2, "c": [1.0, 0.0]}],
+                  "source_radius": 0.5},
+        "line": {"point": [0.0, -2.25], "direction": [1.0, 0.0]},
+        "order": order, "interval": [-extent * lam, extent * lam],
+        "targets": [[1.0, -4.0], [-3.0, -6.0], [5.0, -3.0]]}, name=name)
+
+
+def test_pipeline_retries_one_order_up_when_the_gap_outruns_the_data(tmp_path):
+    out = tmp_path / "retry"
+    path = _m2_scenario(tmp_path, 128.0, "retry")
+    assert run_scenario(path, "pipeline", out_dir=out, quiet=True) == 0
+    metrics = read_report(out)["metrics"]
+    assert metrics["karp_order"] == 4
+    assert metrics["max_rel_err"] <= 1e-3
+    # the retry is the order-4 run: same samples, same bits
+    direct = tmp_path / "order4"
+    assert run_scenario(_m2_scenario(tmp_path, 128.0, "order4", order=4),
+                        "pipeline", out_dir=direct, quiet=True) == 0
+    assert (direct / "results.csv").read_text() == \
+        (out / "results.csv").read_text()
+    # data too short for the order-4 gap as well: one retry, then the
+    # coverage error
+    short = tmp_path / "short"
+    assert run_scenario(_m2_scenario(tmp_path, 64.0, "short"), "pipeline",
+                        out_dir=short, quiet=True) == 3
+    assert read_report(short)["error"].startswith(
+        "[trace] imaginary-part data must cover |s - s_q| <= 58.8")
 
 
 def test_pipeline_collapsed_window_is_an_extract_failure(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imfield.farfield as farfield_mod
 import imfield.karp as karp_mod
 import imfield.propagate as propagate_mod
 import imfield.specfun as specfun
@@ -396,7 +397,10 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
 
     monkeypatch.setattr(propagate_mod, "_gap_completion", counting)
     monkeypatch.setattr(karp_mod, "_hankel01", counting_pair)
-    got = _karp_line_traces(kcs, SPEC, im_points=pts, im_values=vals)(s)
+    # the frame sits at the line point with phi = 0: the gap data's
+    # Karp-frame abscissas are the points' x coordinates
+    xi = pts[:, 0]
+    got = _karp_line_traces(kcs, SPEC, xi, vals)(s)
     assert fits == [(160, 4)]
     # the Karp sums of all four series take one H_0, H_1 pass per point
     # set: the flank bands, then the evaluation points outside the gap
@@ -413,12 +417,15 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
     bad = vals.copy()
     bad[:, 1] *= 3.0
     with pytest.raises(RuntimeError, match="inconsistent"):
-        _karp_line_traces(kcs, SPEC, im_points=pts, im_values=bad)
+        _karp_line_traces(kcs, SPEC, xi, bad)
     other = KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=kcs[0].F[:3],
                        G=kcs[0].G[:3], origin_shift=kcs[0].origin_shift)
     with pytest.raises(ValueError):  # series of another order
-        _karp_line_traces([kcs[0], other], SPEC, im_points=pts,
-                          im_values=vals[:, :2])
+        _karp_line_traces([kcs[0], other], SPEC, xi, vals[:, :2])
+    with pytest.raises(ValueError, match="does not run along"):
+        _karp_line_traces(kcs, HalfPlaneSpec(
+            line=LineSpec(point=(0.0, -2.0), theta=(0.6, -0.8)),
+            normal=(0.8, 0.6)), xi, vals)
 
 
 def test_karp_line_trace_zero_field():
@@ -448,6 +455,9 @@ def test_karp_line_trace_validation():
         karp_line_trace(off, SPEC, 200 * LAM, im_points=pts, im_values=imv)
     with pytest.raises(ValueError):  # gap data is mandatory
         karp_line_trace(kc, SPEC, 200 * LAM)
+    with pytest.raises(ValueError, match="lie on spec.line"):
+        karp_line_trace(kc, SPEC, 200 * LAM, im_points=pts + [0.0, 0.1],
+                        im_values=imv)
     with pytest.raises(ValueError):  # too sparse for the gap
         karp_line_trace(kc, SPEC, 200 * LAM, im_points=pts[::4],
                         im_values=imv[::4])
@@ -530,13 +540,13 @@ def test_reconstruct_two_multipole_scenario():
 def _reconstruct_keeping_trace(monkeypatch, targets):
     """reconstruct_from_im on the point-source scenario, plus its trace."""
     traces = []
-    build = propagate_mod.karp_line_trace
+    propagate = propagate_mod.propagate_halfplane
 
-    def keeping(*args, **kwargs):
-        traces.append(build(*args, **kwargs))
-        return traces[-1]
+    def keeping(trace, *args, **kwargs):
+        traces.append(trace)
+        return propagate(trace, *args, **kwargs)
 
-    monkeypatch.setattr(propagate_mod, "karp_line_trace", keeping)
+    monkeypatch.setattr(propagate_mod, "propagate_halfplane", keeping)
     ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
     sp, sm, _ = _scenario_samples(ps, 3)
     got = reconstruct_from_im(sp, sm, 3, SPEC, targets)
@@ -591,6 +601,31 @@ def test_memoised_trace_matches_fresh_traces(monkeypatch):
         assert propagate_halfplane(fresh, SPEC, x, KAPPA) == g
         v, info = propagate_halfplane(trace, SPEC, x, KAPPA, full_output=True)
         assert v == g and info["quad_error_estimate"] > 0
+
+
+def test_reconstruct_converts_and_extracts_once(monkeypatch):
+    # the ray pair becomes line data once, which feeds both the extraction
+    # (one batched pass over both sides) and the gap fit
+    calls = []
+    line_data = propagate_mod._line_data
+    orders = farfield_mod._extract_orders
+
+    def counting_line_data(*args):
+        calls.append("line_data")
+        return line_data(*args)
+
+    def counting_orders(data, *args):
+        calls.append(("orders", data.shape))
+        return orders(data, *args)
+
+    monkeypatch.setattr(propagate_mod, "_line_data", counting_line_data)
+    monkeypatch.setattr(farfield_mod, "_extract_orders", counting_orders)
+    got, _ = _reconstruct_keeping_trace(monkeypatch, TRACE_TARGETS)
+    radii = schedule_for(KAPPA, 3, 0.0).radii.size
+    assert calls == ["line_data", ("orders", (1, 2, 2, radii))]
+    ps = RadiationField(terms=(PointSource((0.3, 0.2), 1.0),), kappa=KAPPA)
+    ref = eval_field(ps, np.array(TRACE_TARGETS))
+    assert np.max(np.abs(np.array(got) - ref)) <= 1e-2 * np.max(np.abs(ref))
 
 
 def test_reconstruct_ray_relabeling_reciprocity():

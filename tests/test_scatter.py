@@ -602,7 +602,8 @@ def test_gkl_gap_rows_built_once(monkeypatch):
     # later sources on this line need a wider Karp gap than earlier ones;
     # the volume term is still evaluated in two calls, each for every
     # source at once: the line points with both rays, then one gap lattice
-    # covering every source. Every source is extracted in one batched
+    # covering every source. The extraction abscissas on both sides are
+    # line data with a column per source, extracted in one batched
     # _extract_orders pass, with no per-source extract_all, and one gap
     # fit completes every source's trace
     grid = gauss_grid(8, amp=4.0, cx=0.05, cy=-0.08, width=0.16)
@@ -630,11 +631,9 @@ def test_gkl_gap_rows_built_once(monkeypatch):
         return real_fit(*args)
 
     monkeypatch.setattr(scatter.VolumeField, "correction", counting)
-    # extract_all reaches _extract_orders through farfield's own name
+    # _line_farfield reaches _extract_orders through farfield's own name
     monkeypatch.setattr(farfield, "_extract_orders", counting_orders)
-    monkeypatch.setattr(scatter, "_extract_orders", counting_orders)
-    for mod in (farfield, propagate):
-        monkeypatch.setattr(mod, "extract_all", counting_all)
+    monkeypatch.setattr(farfield, "extract_all", counting_all)
     monkeypatch.setattr(propagate, "_gap_completion", counting_fit)
     for n_points in (3, 5):
         calls.clear()
