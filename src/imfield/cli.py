@@ -40,22 +40,17 @@ import numpy as np
 
 from .farfield import (
     ExtractionSchedule,
-    _line_data,
-    _line_farfield,
     _lookup,
     _pair_abscissas,
     _raw_estimates,
     farfield_to_dict,
-    schedule_abscissas,
     schedule_for,
 )
 from .fields import (
     RadiationField,
-    RayGeometry,
     counterexample_report,
     eval_field,
     field_from_dict,
-    sample_im_on_ray,
 )
 from .karp import _karp_sum, karp_from_farfield, karp_to_dict
 from .propagate import (
@@ -64,12 +59,14 @@ from .propagate import (
     LineTrace,
     _GapCoverageError,
     _foot,
+    _propagate_targets,
+    _read_pairs,
+    _sampled_traces,
     _stage,
     _stage_timings,
     _trusted_radius,
     _window_half_length,
     propagate_halfplane,
-    reconstruct_from_im,
 )
 from .scatter import (
     PotentialGrid,
@@ -315,44 +312,29 @@ class _RunResult:
     coefficients: dict = None
 
 
-def _halfplane_toward(line: LineSpec, source_point) -> HalfPlaneSpec:
-    """Half-plane spec whose outward normal points at the sources."""
-    t = np.asarray(line.theta)
-    n = np.array([-t[1], t[0]])
-    if float((np.asarray(source_point, dtype=float) - np.asarray(line.point)) @ n) < 0.0:
-        n = -n
-    return HalfPlaneSpec(line=line, normal=tuple(n))
-
-
-def _require_targets_in_halfplane(sc: Scenario, spec: HalfPlaneSpec):
-    lam = 2.0 * np.pi / sc.kappa
-    for i, x in enumerate(sc.targets):
-        if spec.signed_offset(x) > -0.25 * lam:
-            _fail(f"targets[{i}]",
-                  "must lie inside V_L, at least a quarter wavelength "
-                  "beyond the measurement line")
-
-
 def _scenario_schedule(sc: Scenario) -> ExtractionSchedule:
     if sc.schedule is not None:
         return sc.schedule
-    sched = schedule_for(sc.kappa, sc.order if sc.order else 0,
-                         sc.noise_sigma)
-    if sc.tau is not None:
-        sched = ExtractionSchedule(radii=sched.radii, tau=sc.tau,
-                                   extrapolation_depth=sched.extrapolation_depth)
-    return sched
+    sched = schedule_for(sc.kappa, sc.order or 0, sc.noise_sigma)
+    return sched if sc.tau is None else replace(sched, tau=sc.tau)
 
 
-def _ray_samples(sc: Scenario, s_absc):
-    """Im samples on the two rays of the line, both leaving the foot of the
-    origin, which puts the Karp frame there; seeded noise per ray."""
-    t = np.asarray(sc.line.theta)
-    foot = tuple(_foot(sc.line, (0.0, 0.0)))
-    return tuple(_stage("synth", sample_im_on_ray, sc.field,
-                        RayGeometry(origin=foot, direction=tuple(sgn * t)),
-                        s_absc, sc.noise_sigma, sc.noise_seed + seed_off)
-                 for sgn, seed_off in ((1.0, 0), (-1.0, 1)))
+def _im_sampler(sc: Scenario, q):
+    """im_at(xi) of the scenario field: Im psi, one column, at the signed
+    abscissas xi from q along the line. noise.sigma is the sigma of
+    sqrt(|x|) Im psi, drawn in call order from one generator seeded by
+    noise.seed."""
+    rng = np.random.default_rng(sc.noise_seed)
+
+    def im_at(xi):
+        pts = q + np.multiply.outer(xi, sc.line.theta)
+        im = _stage("synth", eval_field, sc.field, pts).imag
+        if sc.noise_sigma > 0:
+            im = im + sc.noise_sigma * rng.standard_normal(im.shape) \
+                / np.sqrt(np.hypot(pts[:, 0], pts[:, 1]))
+        return im[:, None]
+
+    return im_at
 
 
 def _run_synth(sc: Scenario) -> _RunResult:
@@ -360,14 +342,9 @@ def _run_synth(sc: Scenario) -> _RunResult:
     lo, hi = sc.interval
     n_seg = max(1, int(np.ceil((hi - lo) / (lam / 12.0))))
     s = lo + (hi - lo) * np.arange(n_seg + 1) / n_seg
-    p0 = np.asarray(sc.line.point)
-    t = np.asarray(sc.line.theta)
-    pts = p0[None, :] + s[:, None] * t[None, :]
-    psi = _stage("synth", eval_field, sc.field, pts)
-    vals = np.sqrt(np.hypot(pts[:, 0], pts[:, 1])) * psi.imag
-    if sc.noise_sigma > 0:
-        rng = np.random.default_rng(sc.noise_seed)
-        vals = vals + sc.noise_sigma * rng.standard_normal(vals.shape)
+    pts = np.asarray(sc.line.point) + np.multiply.outer(s, sc.line.theta)
+    vals = np.sqrt(np.hypot(pts[:, 0], pts[:, 1])) \
+        * _im_sampler(sc, sc.line.point)(s)[:, 0]
     rows = [(s[i], pts[i, 0], pts[i, 1], vals[i]) for i in range(s.size)]
     metrics = {"n_samples": int(s.size),
                "max_abs_value": float(np.max(np.abs(vals)))}
@@ -375,16 +352,17 @@ def _run_synth(sc: Scenario) -> _RunResult:
 
 
 def _extract_pair(sc: Scenario):
-    """Schedule, line data of the two rays, and their far-field coefficients."""
+    """Schedule, the field read at its pairs in the Karp frame at the foot
+    of the origin, and the far-field coefficients."""
     sched = _stage("extract", _scenario_schedule, sc)
-    data = _stage("extract", _line_data,
-                  *_ray_samples(sc, schedule_abscissas(sched)))
-    ff, = _stage("extract", _line_farfield, *data, sc.order, sched, sc.kappa)
-    return sched, data, ff
+    q = _foot(sc.line, (0.0, 0.0))
+    xi, im, (ff,) = _read_pairs(_im_sampler(sc, q), sc.kappa, sc.order,
+                                sched, q, sc.line.theta)
+    return sched, xi, im, ff
 
 
 def _run_extract(sc: Scenario) -> _RunResult:
-    sched, (_, _, xi, im), ff = _extract_pair(sc)
+    sched, xi, im, ff = _extract_pair(sc)
     # raw two-point estimates of f_0 on the plus ray, in the Karp frame; their
     # deviation from the extrapolated value decays like 1/r on exact data
     s = _pair_abscissas(sched.radii, sched.tau)
@@ -405,7 +383,7 @@ def _run_extract(sc: Scenario) -> _RunResult:
 def _run_karp(sc: Scenario) -> _RunResult:
     if sc.order < 1:
         _fail("order", "karp conversion needs order >= 1")
-    _, _, ff = _extract_pair(sc)
+    *_, ff = _extract_pair(sc)
     kc = _stage("karp", karp_from_farfield, ff)
     r_trust = _trusted_radius(kc)
     lam = 2.0 * np.pi / sc.kappa
@@ -446,10 +424,19 @@ def _target_rows(field, targets, values):
 
 def _foot_halfplane(sc: Scenario) -> HalfPlaneSpec:
     """The scenario's half plane, its line anchored at the foot of the origin
-    whatever line.point says; the targets must lie in it."""
-    spec = _halfplane_toward(
-        replace(sc.line, point=tuple(_foot(sc.line, (0.0, 0.0)))), (0.0, 0.0))
-    _require_targets_in_halfplane(sc, spec)
+    whatever line.point says and its outward normal pointing at the sources
+    about the origin; the targets must lie in it."""
+    line = replace(sc.line, point=tuple(_foot(sc.line, (0.0, 0.0))))
+    n = np.array([-line.theta[1], line.theta[0]])
+    if float(np.asarray(line.point) @ n) > 0.0:
+        n = -n
+    spec = HalfPlaneSpec(line=line, normal=tuple(n))
+    lam = 2.0 * np.pi / sc.kappa
+    for i, x in enumerate(sc.targets):
+        if spec.signed_offset(x) > -0.25 * lam:
+            _fail(f"targets[{i}]",
+                  "must lie inside V_L, at least a quarter wavelength "
+                  "beyond the measurement line")
     return spec
 
 
@@ -523,15 +510,10 @@ def _run_gkl(sc: Scenario) -> _RunResult:
     rep = _stage("gkl", gkl_reduce, sc.potential, sc.line, sc.interval,
                  sc.order, sc.n_points)
     s_pts = rep.s_points
-    rows = []
-    for i in range(s_pts.size):
-        for j in range(s_pts.size):
-            if i == j:
-                continue
-            rec = rep.recovered[i, j]
-            dirv = rep.direct[i, j]
-            rows.append((s_pts[i], s_pts[j], rec.real, rec.imag,
-                         dirv.real, dirv.imag, abs(rec - dirv)))
+    i, j = np.nonzero(~np.eye(s_pts.size, dtype=bool))  # row-major pairs
+    rec, dirv = rep.recovered[i, j], rep.direct[i, j]
+    rows = list(zip(s_pts[i], s_pts[j], rec.real, rec.imag, dirv.real,
+                    dirv.imag, np.abs(rec - dirv)))
     metrics = {"max_rel_err": float(rep.max_rel_err),
                "defect_recovered": float(rep.defect_recovered),
                "defect_direct": float(rep.defect_direct)}
@@ -541,29 +523,25 @@ def _run_gkl(sc: Scenario) -> _RunResult:
                       rows)
 
 
-def _reconstruct(sc: Scenario, spec: HalfPlaneSpec):
-    """reconstruct_from_im on samples over the data extent at sc.order."""
-    lam = 2.0 * np.pi / sc.kappa
-    sched = _stage("extract", _scenario_schedule, sc)
-    extent = 64.0 * lam
-    if sc.interval is not None:
-        extent = max(abs(sc.interval[0]), abs(sc.interval[1]))
-    dense = np.arange(lam / 24.0, extent, lam / 12.0)
-    s_absc = np.unique(np.concatenate([dense, schedule_abscissas(sched)]))
-    sp, sm = _ray_samples(sc, s_absc)
-    return reconstruct_from_im(sp, sm, sc.order, spec, list(sc.targets),
-                               schedule=sched)
-
-
 def _run_pipeline(sc: Scenario) -> _RunResult:
     spec = _foot_halfplane(sc)
+    q = spec.line.point
+    # interval is the reach of the data along the line; without it, none
+    reach = np.inf if sc.interval is None else max(map(abs, sc.interval))
+
+    def traces(sc):
+        return _sampled_traces(_im_sampler(sc, q), sc.kappa, sc.order,
+                               _stage("extract", _scenario_schedule, sc),
+                               spec, q, reach)
+
     try:
-        values = _reconstruct(sc, spec)
+        (kc,), psi = traces(sc)
     except _GapCoverageError:
         # the Karp gap outran the data; one order up trusts the series
         # nearer its origin
         sc = replace(sc, order=sc.order + 1)
-        values = _reconstruct(sc, spec)
+        (kc,), psi = traces(sc)
+    values = _propagate_targets(kc, psi, spec, sc.targets)
     rows, header, metrics = _target_rows(sc.field, sc.targets, values)
     metrics["karp_order"] = sc.order
     return _RunResult(metrics, header, rows)

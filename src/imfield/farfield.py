@@ -13,8 +13,9 @@ the distance |x| from the expansion origin (the frame in which the f_j are
 defined); the lower-level operations expect samples already in the frame.
 Data on a line take one form, line data: Im psi at the sorted signed
 abscissas xi of a frame at a point q of the line, one column per series.
-_line_data builds it from a ray pair (gkl_reduce builds its own), and
-_line_farfield extracts every column; extract_all chains the two.
+_line_data builds it from a ray pair, and _line_farfield extracts every
+column; extract_all chains the two. Samplers of Im psi (the CLI,
+gkl_reduce) reach _line_farfield through propagate._read_pairs.
 """
 
 from __future__ import annotations

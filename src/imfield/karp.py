@@ -90,10 +90,10 @@ def karp_from_farfield(ff: FarFieldCoeffs) -> KarpCoeffs:
     """Karp coefficients from far-field coefficients at an antipodal pair.
 
     Order by order, matching the asymptotic expansion of the Karp series
-    against the far field at phi gives F_j - i G_j = (known), and at
-    phi + pi, after applying the parity rules, F_j + i G_j = (known); the
-    2x2 system is solved numerically at each order (its matrix is constant
-    and nonsingular, so the singular branch is an internal invariant check).
+    against the far field at phi gives F_j - i G_j = b_plus, and at
+    phi + pi, after applying the parity rules, F_j + i G_j = b_minus; the
+    2x2 system is constant, so F_j = (b_plus + b_minus) / 2 and
+    G_j = i (b_plus - b_minus) / 2 in closed form.
     """
     if len(ff.f_plus) != len(ff.f_minus):
         raise ValueError("far-field angle pair disagrees on order")
@@ -101,7 +101,6 @@ def karp_from_farfield(ff: FarFieldCoeffs) -> KarpCoeffs:
     kappa = ff.kappa
     a0 = hankel_asym_coeffs(0, n).coeffs
     a1 = hankel_asym_coeffs(1, n).coeffs
-    mat = np.array([[1.0, -1j], [1.0, 1j]])
     F, G = [], []
     for j in range(n + 1):
         b_plus = complex(ff.f_plus[j])
@@ -112,12 +111,8 @@ def karp_from_farfield(ff: FarFieldCoeffs) -> KarpCoeffs:
             b_minus -= (-kappa) ** (-float(k)) * (
                 a0[k] * F[j - k] + 1j * a1[k] * G[j - k]
             )
-        try:
-            sol = np.linalg.solve(mat, np.array([b_plus, b_minus]))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError("order-matching system is singular") from exc
-        F.append(complex(sol[0]))
-        G.append(complex(sol[1]))
+        F.append(0.5 * (b_plus + b_minus))
+        G.append(0.5j * (b_plus - b_minus))
     return KarpCoeffs(kappa=kappa, phi=ff.phi, F=F, G=G,
                       origin_shift=ff.origin_shift)
 

@@ -18,6 +18,10 @@ imaginary-part samples, conversion to a Karp expansion, evaluation of the
 expansion back on the line, and propagation into the half-plane. The
 samples become line data once (farfield._line_data: Im psi at signed
 Karp-frame abscissas), which both the extraction and the gap fit read.
+Callers that can evaluate Im psi anywhere on the line (the CLI and
+scatter.gkl_reduce) pass a sampler to _sampled_traces instead, which reads
+it only where the fit needs data: at the schedule pairs +-(r, r + tau),
+then on a lambda/12 lattice over the Karp gap plus one wavelength.
 The Karp series is trusted only where its last kept term is a small
 fraction of its leading one, which leaves a gap segment around the
 expansion origin q uncovered (no truncation order helps near q, where the
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .farfield import (ExtractionSchedule, _line_data, _line_farfield,
-                       schedule_for)
+                       schedule_abscissas, schedule_for)
 from .fields import ImSamples
 from .karp import KarpCoeffs, _karp_sum, karp_from_farfield
 from .specfun import _outgoing_design, hankel1
@@ -369,22 +373,6 @@ def _window_half_length(line: LineSpec, points, kappa: float) -> float:
                (float(np.max(feet)) + 5.0 * lam) / _WINDOW_C)
 
 
-def _trace_half_length(kc: KarpCoeffs, line: LineSpec, points=()) -> float:
-    """Half-length S of a Karp line trace on line, propagated to points.
-
-    The trusted Karp flanks and the 10-wavelength fit bands past the
-    trusted radius must fit inside [-S, S], so S is at least the distance
-    of the Karp origin along the line plus its trusted radius plus 12
-    wavelengths, and at least what _window_half_length asks for the
-    points.
-    """
-    lam = 2.0 * np.pi / kc.kappa
-    s_q = abs(float((np.asarray(kc.origin_shift) - np.asarray(line.point))
-                    @ np.asarray(line.theta)))
-    return max(_window_half_length(line, points, kc.kappa),
-               s_q + _shared_gap([kc]) + 12.0 * lam)
-
-
 def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
                     im_points=None, im_values=None,
                     gap_center=None) -> LineTrace:
@@ -553,6 +541,62 @@ def _stage(label, fn, *args, **kwargs):
             times[label] = times.get(label, 0.0) + time.perf_counter() - t0
 
 
+def _read_pairs(im_at, kappa, order, schedule, q, theta):
+    """Readings of im_at at the schedule pairs +-(r, r + tau), extracted.
+
+    Returns the sorted signed abscissas of the Karp frame at q along theta,
+    im_at's columns there, and one FarFieldCoeffs per column (stage
+    "extract").
+    """
+    a = schedule_abscissas(schedule)
+    xi = np.concatenate([-a[::-1], a])
+    im = im_at(xi)
+    return xi, im, _stage("extract", _line_farfield, q, theta, xi, im, order,
+                          schedule, kappa)
+
+
+def _sampled_traces(im_at, kappa, order, schedule, spec, q, reach=np.inf,
+                    gap_center=None):
+    """Karp series and line traces of a sampler of Im psi on spec.line.
+
+    The sampling plan of line reconstruction: im_at(xi) returns Im psi, one
+    column per field, at signed abscissas xi of the Karp frame at q along
+    spec.line. It is read at the schedule pairs (_read_pairs), which give
+    one Karp series per column, and once more on the lattice
+    (k + 1/2) lambda/12 over the series' shared gap plus one wavelength,
+    cut to the data reach |xi| < reach, for the one gap fit of
+    _karp_line_traces. Returns (series, psi); stages "extract", "karp" and
+    "trace".
+    """
+    _, _, ffs = _read_pairs(im_at, kappa, order, schedule, q, spec.line.theta)
+    kcs = [_stage("karp", karp_from_farfield, ff) for ff in ffs]
+    lam = 2.0 * np.pi / kappa
+    m = int(np.ceil((_stage("trace", _shared_gap, kcs) + lam) / (lam / 12.0)))
+    xs = (np.arange(-m, m) + 0.5) * (lam / 12.0)
+    xs = xs[np.abs(xs) < reach]
+    return kcs, _stage("trace", _karp_line_traces, kcs, spec, xs, im_at(xs),
+                       gap_center)
+
+
+def _propagate_targets(kc: KarpCoeffs, psi, spec: HalfPlaneSpec, targets):
+    """Field values at targets from the line trace psi of the series kc.
+
+    The trusted Karp flanks and the 10-wavelength fit bands past the
+    trusted radius must fit inside the trace's [-S, S], so S is at least
+    the distance of the Karp origin along the line plus its trusted radius
+    plus 12 wavelengths, and at least what _window_half_length asks for
+    the targets.
+    """
+    lam = 2.0 * np.pi / kc.kappa
+    s_q = abs(float((np.asarray(kc.origin_shift) - spec.line.point)
+                    @ spec.line.theta))
+    S = max(_window_half_length(spec.line, targets, kc.kappa),
+            s_q + _stage("trace", _shared_gap, [kc]) + 12.0 * lam)
+    trace = LineTrace(S=S, func=lambda s: psi(s)[..., 0])
+    return [_stage("propagate", propagate_halfplane, trace, spec, x, kc.kappa)
+            for x in targets]
+
+
 def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
                         order: int, spec: HalfPlaneSpec, targets,
                         schedule: ExtractionSchedule = None):
@@ -570,13 +614,13 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     global origin on its non-V_L side. The Karp frame sits where the rays
     start, and its trusted radius grows with that point's distance from
     the sources, so callers should start both rays at the foot of the
-    origin on the line, as the CLI does. Without a schedule, schedule_for
-    builds one for the larger noise_sigma of the two sample sets. The
-    trace half-length S is the Karp trusted radius plus the Karp origin's
-    distance along the line plus 12 wavelengths, at least 50 wavelengths,
-    and wide enough that every target's foot on the line (and the
-    origin's) sits 5 wavelengths inside the window's flat part
-    |s| <= 0.3 S, which keeps the windowed propagation near rounding.
+    origin on the line, the frame the CLI's sampler reads in. Without a
+    schedule, schedule_for builds one for the larger noise_sigma of the
+    two sample sets. The trace half-length S is the Karp trusted radius
+    plus the Karp origin's distance along the line plus 12 wavelengths, at
+    least 50 wavelengths, and wide enough that every target's foot on the
+    line (and the origin's) sits 5 wavelengths inside the window's flat
+    part |s| <= 0.3 S, which keeps the windowed propagation near rounding.
     """
     kappa = samples_plus.kappa
     if schedule is None:
@@ -587,8 +631,5 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     ff, = _stage("extract", _line_farfield, q, theta, xi, im, order,
                  schedule, kappa)
     kc = _stage("karp", karp_from_farfield, ff)
-    S = _stage("trace", _trace_half_length, kc, spec.line, targets)
     psi = _stage("trace", _karp_line_traces, [kc], spec, xi, im)
-    trace = LineTrace(S=S, func=lambda s: psi(s)[..., 0])
-    return [_stage("propagate", propagate_halfplane, trace, spec, x, kappa)
-            for x in targets]
+    return _propagate_targets(kc, psi, spec, targets)

@@ -59,13 +59,13 @@ gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
 from Omega only, and G is added back at the end. One field with a column
-per source evaluates D in two calls, the line points with the extraction
-abscissas and then the gap lattice. Both point sets are line data in the
-Karp frame at the foot q of the support centre (propagate._foot): Im D
-at +-(r, r + tau) of the schedule feeds one farfield._line_farfield
-call for all sources, and Im D on the gap lattice the one gap fit of
-their traces, which share one gap, the widest of their trusted radii,
-and one Karp sum per point set.
+per source evaluates D at the line points, and Im D in the Karp frame at
+the foot q of the support centre (propagate._foot) is the sampler that
+propagate._sampled_traces reads: at +-(r, r + tau) of the schedule for
+one extraction of all sources, then on the gap lattice for the one gap
+fit of their traces, which share one gap, the widest of their trusted
+radii, and one Karp sum per point set. Each of the three calls serves
+every source at once.
 """
 
 from __future__ import annotations
@@ -77,10 +77,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
-from .farfield import _line_farfield, _pair_abscissas, schedule_for
-from .karp import karp_from_farfield
-from .propagate import (HalfPlaneSpec, LineSpec, _foot, _karp_line_traces,
-                        _shared_gap)
+from .farfield import schedule_for
+from .propagate import HalfPlaneSpec, LineSpec, _foot, _sampled_traces
 
 __all__ = [
     "PotentialGrid",
@@ -766,13 +764,13 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     Lambda is n_points equally spaced points of the interval (given in the
     line's abscissa). For each source y in Lambda the free part is removed,
     D = R + G, whose imaginary part on the line is Im R + (1/4) J_0(kappa
-    |x - y|); D radiates from Omega only. Im D at the signed abscissas
-    +-(r, r + tau) of the schedule, in the Karp frame at the foot of the
-    support centre, is line data with a column per source: one
-    _line_farfield call extracts them all, for a Karp series per source.
-    The line traces of all sources share one gap, the widest of their
-    trusted radii, completed by one gap fit on Im D at a gap lattice of
-    abscissas, with a column per source; subtracting G turns D into R.
+    |x - y|); D radiates from Omega only. Im D in the Karp frame at the
+    foot of the support centre, a column per source, is the sampler of
+    propagate._sampled_traces: read at the signed abscissas +-(r, r + tau)
+    of the schedule it gives a Karp series per source, and read on a gap
+    lattice it completes the traces of all sources in one gap fit over
+    their one shared gap, the widest of their trusted radii; subtracting G
+    turns D into R.
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
@@ -790,7 +788,6 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     if not _line_clears_support(grid, line):
         raise ValueError("line must keep clear of the potential support")
     kappa = grid.kappa
-    lam = 2.0 * np.pi / kappa
     p0 = np.asarray(line.point)
     theta = np.asarray(line.theta)
     nu = np.array([-theta[1], theta[0]])
@@ -801,14 +798,11 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     s_pts = np.linspace(s_min, s_max, n_points)
     lam_pts = p0 + np.multiply.outer(s_pts, theta)
 
-    # line data in the Karp frame at the foot of the support center: both
-    # sides of the extraction's own abscissas
     schedule = schedule_for(kappa, order, data_tol)
-    pair = _pair_abscissas(schedule.radii, schedule.tau)
-    xi = np.sort(np.stack([pair, -pair]), axis=None)
 
-    # D = R + G on the line points, column j for source j: recovered from
-    # the line data, and read directly off the interior solution
+    # D = R + G on the line points, column j for source j: read directly
+    # off the interior solution, and recovered from its imaginary part read
+    # in the Karp frame at the foot of the support center
     d_recovered = np.zeros((n_points, n_points), dtype=complex)
     d_direct = np.zeros((n_points, n_points), dtype=complex)
     if not grid.is_free:  # else D vanishes identically
@@ -818,21 +812,11 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
         d_field = VolumeField(kappa, None,
                               grid.v_flat[:, None] * core.solve(rhs), core,
                               grid.cell_size)
-        # one call for the line points and the extraction abscissas, one
-        # for the gap lattice, each for every source at once
-        d_all = d_field.correction(np.vstack([
-            lam_pts, origin + np.multiply.outer(xi, theta)]))
-        d_direct = d_all[:n_points]
-        karps = [karp_from_farfield(ff) for ff in _line_farfield(
-            origin, theta, xi, d_all[n_points:].imag, order, schedule, kappa)]
-        # one dense two-sided lambda/12 lattice covering the sources' one
-        # shared gap, and one gap fit for every source
-        step = lam / 12.0
-        m = int(np.ceil((_shared_gap(karps) + lam) / step))
-        xs = (np.arange(-m, m) + 0.5) * step
-        im_gap = d_field.correction(origin + np.multiply.outer(xs, theta)).imag
-        traces = _karp_line_traces(karps, spec, xs, im_gap,
-                                   gap_center=tuple(center))
+        d_direct = d_field.correction(lam_pts)
+        _, traces = _sampled_traces(
+            lambda xi: d_field.correction(
+                origin + np.multiply.outer(xi, theta)).imag,
+            kappa, order, schedule, spec, origin, gap_center=tuple(center))
         d_recovered = traces(s_pts)
 
     # R = D - G off the diagonal, where G(x_i - x_j) is finite

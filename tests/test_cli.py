@@ -10,7 +10,9 @@ import pytest
 
 import imfield
 from imfield import PotentialGrid, farfield_oracle, field_from_dict, potential_to_dict
+from imfield import cli as cli_mod
 from imfield.cli import Scenario, ScenarioError, load_scenario, run_scenario
+from imfield.farfield import schedule_abscissas, schedule_for
 from imfield.propagate import _stage, _stage_timings
 
 KAPPA = 5.0
@@ -376,6 +378,109 @@ def test_pipeline_collapsed_window_is_an_extract_failure(tmp_path):
     rep = read_report(out)
     assert rep["error"].startswith("[extract]")
     assert "extract_s" in rep["timings"]
+
+
+def test_pipeline_reads_the_field_at_the_pairs_and_the_gap_lattice(
+        tmp_path, monkeypatch):
+    # without interval the field is read at the schedule pairs +-(r, r + tau)
+    # and on the lambda/12 lattice over the Karp gap plus one wavelength,
+    # both in the frame at the foot of the origin; then at the targets, for
+    # the reference values of results.csv
+    calls = []
+    real = cli_mod.eval_field
+
+    def counting(field, pts):
+        calls.append(np.array(pts))
+        return real(field, pts)
+
+    monkeypatch.setattr(cli_mod, "eval_field", counting)
+    entries = {"field": PS_FIELD, "line": LINE, "order": 3,
+               "targets": TARGETS[:3]}
+    path = write_scenario(tmp_path, entries, name="reads")
+    assert run_scenario(path, "pipeline", out_dir=tmp_path / "p",
+                        quiet=True) == 0
+    assert len(calls) == 3
+    lines, targets = calls[:2], calls[2]
+    assert np.array_equal(targets, TARGETS[:3])
+    for pts in lines:
+        assert np.all(pts[:, 1] == -2.0)
+    pairs = schedule_abscissas(schedule_for(KAPPA, 3, 0.0))
+    assert np.allclose(lines[0][:, 0], np.concatenate([-pairs[::-1], pairs]),
+                       rtol=0, atol=1e-12)
+    # the Karp command reads the same pairs, and reports the gap
+    assert run_scenario(path, "karp", out_dir=tmp_path / "k", quiet=True) == 0
+    gap = read_report(tmp_path / "k")["metrics"]["trusted_radius"]
+    lam = 2.0 * np.pi / KAPPA
+    k = np.round(lines[1][:, 0] / (lam / 12.0) - 0.5)
+    assert np.allclose(lines[1][:, 0], (k + 0.5) * lam / 12.0, rtol=0,
+                       atol=1e-9)
+    assert np.array_equal(k, np.arange(k[0], -k[0]))
+    assert abs(np.max(lines[1][:, 0]) - (gap + lam)) <= lam / 12.0
+
+
+# one scenario per cost-cycle position of the benchmark's line-recon
+# workload: kappa from eighths of [3, 8], a main term of strength 1 (-1 a
+# point source, else a multipole of order m) plus weaker terms, and a line
+# 2.2-2.3 from the origin, half of them rotated about it
+_CYCLE = list(zip((4, 1, 4, 16, 4, 2, 4, 8), (0, 3, 2, 1, 4, 7, 5, 6),
+                  (-1, 0, -1, 1, -1, 2, -1, 1), (0, 1, 2, 0, 1, 2, 0, 1)))
+
+
+def _cycle_term(rng, m, strength, radius):
+    z = strength * np.exp(2j * np.pi * rng.random())
+    if m < 0:
+        a = 2.0 * np.pi * rng.random()
+        return {"type": "point_source", "c": [z.real, z.imag],
+                "y0": [radius * np.cos(a), radius * np.sin(a)]}
+    return {"type": "multipole", "m": m, "c": [z.real, z.imag]}
+
+
+def _cycle_scenario(p, sigma):
+    rng = np.random.default_rng([3, p])
+    n_t, band, main, extra = _CYCLE[p]
+    kappa = 3.0 + 5.0 * (band + rng.uniform(0.4, 0.6)) / 8.0
+    lam = 2.0 * np.pi / kappa
+    terms = [_cycle_term(rng, main, 1.0, rng.uniform(0.25, 0.35))]
+    terms += [_cycle_term(rng, int(rng.integers(-1, 3)), rng.uniform(0.1, 0.3),
+                          0.5 * np.sqrt(rng.random())) for _ in range(extra)]
+    phi = -0.5 * np.pi if p % 4 < 2 else rng.uniform(0, 2 * np.pi)
+    nu = np.array([np.cos(phi), np.sin(phi)])
+    p0 = rng.uniform(2.2, 2.3) * nu
+    theta = np.array([-nu[1], nu[0]])
+    targets = p0 + np.outer(rng.uniform(-8.0, 8.0, n_t), theta) \
+        + np.outer(rng.uniform(0.3 * lam + 0.2, 6.0, n_t), nu)
+    return {"kappa": kappa, "order": 3,
+            "field": {"terms": terms, "source_radius": 0.5},
+            "line": {"point": p0.tolist(), "direction": theta.tolist()},
+            "targets": targets.tolist(),
+            "noise": {"sigma": sigma, "seed": int(rng.integers(2 ** 31))}}
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1e-9, 1e-6, 1e-4])
+def test_pipeline_sigma_and_kappa_sweep(tmp_path, sigma):
+    # without interval the lattice covers any Karp gap: up to sigma = 1e-6
+    # every cycle position returns an answer at order 3 within 1e-2 of
+    # max|psi|; at 1e-4 each fails, at [extract] when the radius window
+    # collapses or at [trace] when the gap fit disagrees with the flanks,
+    # and none returns an answer
+    for p in range(len(_CYCLE)):
+        path = write_scenario(tmp_path, _cycle_scenario(p, sigma),
+                              name=f"cycle{p}")
+        out = tmp_path / f"out{p}"
+        status = run_scenario(path, "pipeline", out_dir=out, quiet=True)
+        if sigma >= 1e-4:
+            assert status == 3
+            error = read_report(out)["error"]
+            assert error.startswith("[extract]") or error.startswith(
+                "[trace] gap completion is inconsistent"), error
+            continue
+        assert status == 0
+        assert read_report(out)["metrics"]["karp_order"] == 3
+        header, rows = read_csv(out)
+        rows = np.array(rows)
+        col = {h: k for k, h in enumerate(header)}
+        ref = np.hypot(rows[:, col["re_ref"]], rows[:, col["im_ref"]])
+        assert np.max(rows[:, col["abs_err"]]) <= 1e-2 * np.max(ref)
 
 
 def test_scatter_command(tmp_path):

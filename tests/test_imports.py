@@ -51,6 +51,18 @@ def test_gkl_reduce_extracts_in_the_karp_frame():
         assert name not in bound
 
 
+def test_line_reconstruction_reads_through_one_sampling_plan():
+    # the CLI and gkl_reduce hand propagate a sampler of Im psi; neither
+    # synthesizes ray samples nor runs the pairs-then-lattice plan itself
+    cli_bound = _imports(_parse("cli.py"))
+    for name in ("sample_im_on_ray", "RayGeometry", "_line_data",
+                 "reconstruct_from_im"):
+        assert name not in cli_bound
+    scatter_bound = _imports(_parse("scatter.py"))
+    for name in ("_line_farfield", "_karp_line_traces", "_shared_gap"):
+        assert name not in scatter_bound
+
+
 def _names_read(node):
     """Names node reads, as a bare name or an attribute, or imports."""
     out = set()

@@ -600,9 +600,9 @@ def test_gkl_complex_v_tilted_line():
 
 def test_gkl_gap_rows_built_once(monkeypatch):
     # later sources on this line need a wider Karp gap than earlier ones;
-    # the volume term is still evaluated in two calls, each for every
-    # source at once: the line points with both rays, then one gap lattice
-    # covering every source. The extraction abscissas on both sides are
+    # the volume term is still evaluated in three calls, each for every
+    # source at once: the line points, the schedule pairs on both sides,
+    # then one gap lattice covering every source. The pair readings are
     # line data with a column per source, extracted in one batched
     # _extract_orders pass, with no per-source extract_all, and one gap
     # fit completes every source's trace
@@ -643,9 +643,9 @@ def test_gkl_gap_rows_built_once(monkeypatch):
                             n_points=n_points)
         assert report.max_rel_err <= 1e-2
         n_ray = 2 * schedule_for(grid.kappa, 3, 1e-6).radii.size
-        assert len(calls) == 2
-        assert calls[0] == (n_points + 2 * n_ray, 2)
-        assert calls[1][0] % 2 == 0 and calls[1][1:] == (2,)
+        assert len(calls) == 3
+        assert calls[:2] == [(n_points, 2), (2 * n_ray, 2)]
+        assert calls[2][0] % 2 == 0 and calls[2][1:] == (2,)
         assert extractions == [("orders", (n_points, 2, 2, n_ray // 2))]
         assert fits == [(160, n_points)]
 
