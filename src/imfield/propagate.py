@@ -21,7 +21,9 @@ Karp-frame abscissas), which both the extraction and the gap fit read.
 Callers that can evaluate Im psi anywhere on the line (the CLI and
 scatter.gkl_reduce) pass a sampler to _sampled_traces instead, which reads
 it only where the fit needs data: at the schedule pairs +-(r, r + tau),
-then on a lambda/12 lattice over the Karp gap plus one wavelength.
+then on a lambda/12 lattice over the Karp gap plus one wavelength. The
+lattice meets the gap fit's coverage rule before it is read, so data that
+stop short of the gap cost no read there.
 The Karp series is trusted only where its last kept term is a small
 fraction of its leading one, which leaves a gap segment around the
 expansion origin q uncovered (no truncation order helps near q, where the
@@ -415,6 +417,23 @@ class _GapCoverageError(ValueError):
     """The imaginary-part data stop short of the Karp gap."""
 
 
+def _gap_coverage(xi, xi_gap, lam):
+    """Mask of the abscissas xi inside the Karp gap |xi| <= xi_gap.
+
+    The coverage rule of the gap fit: those abscissas must span the gap at
+    >= 10 per wavelength, else _GapCoverageError.
+    """
+    inside = np.abs(xi) <= xi_gap
+    xs = np.sort(xi[inside])
+    step = lam / 10.0 + 1e-9
+    if (xs.size < 2 or xs[0] > -xi_gap + step
+            or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
+        raise _GapCoverageError(
+            f"imaginary-part data must cover |s - s_q| <= "
+            f"{xi_gap:.3g} at >= 10 samples per wavelength")
+    return inside
+
+
 def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
                       gap_center=None):
     """Line traces of several Karp series of one frame, one column each.
@@ -464,14 +483,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
         if xi.ndim != 1 or im.shape != (xi.size, len(kcs)):
             raise ValueError("gap data must be abscissas (n,) with "
                              "imaginary parts (n, series)")
-        inside = np.abs(xi) <= xi_gap
-        xs = np.sort(xi[inside])
-        step = lam / 10.0 + 1e-9
-        if (xs.size < 2 or xs[0] > -xi_gap + step
-                or xs[-1] < xi_gap - step or np.max(np.diff(xs)) > step):
-            raise _GapCoverageError(
-                f"imaginary-part data must cover |s - s_q| <= "
-                f"{xi_gap:.3g} at >= 10 samples per wavelength")
+        inside = _gap_coverage(xi, xi_gap, lam)
         if gap_center is None:
             gap_center = (0.0, 0.0)
         gap_center = (float(gap_center[0]), float(gap_center[1]))
@@ -565,15 +577,20 @@ def _sampled_traces(im_at, kappa, order, schedule, spec, q, reach=np.inf,
     one Karp series per column, and once more on the lattice
     (k + 1/2) lambda/12 over the series' shared gap plus one wavelength,
     cut to the data reach |xi| < reach, for the one gap fit of
-    _karp_line_traces. Returns (series, psi); stages "extract", "karp" and
-    "trace".
+    _karp_line_traces. The lattice meets the coverage rule of that fit
+    (_gap_coverage) before im_at reads it, so a reach short of the gap
+    raises _GapCoverageError without reading the field there. Returns
+    (series, psi); stages "extract", "karp" and "trace".
     """
     _, _, ffs = _read_pairs(im_at, kappa, order, schedule, q, spec.line.theta)
     kcs = [_stage("karp", karp_from_farfield, ff) for ff in ffs]
     lam = 2.0 * np.pi / kappa
-    m = int(np.ceil((_stage("trace", _shared_gap, kcs) + lam) / (lam / 12.0)))
+    gap = _stage("trace", _shared_gap, kcs)
+    m = int(np.ceil((gap + lam) / (lam / 12.0)))
     xs = (np.arange(-m, m) + 0.5) * (lam / 12.0)
     xs = xs[np.abs(xs) < reach]
+    if gap:
+        _stage("trace", _gap_coverage, xs, gap, lam)
     return kcs, _stage("trace", _karp_line_traces, kcs, spec, xs, im_at(xs),
                        gap_center)
 

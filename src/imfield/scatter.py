@@ -18,7 +18,9 @@ an n x n stencil: n^2 kernel evaluations build it, and a 2n x 2n FFT applies
 it (Vainikko, "Fast solvers of the Lippmann-Schwinger equation", 2000). The
 interior system (I - W diag v) u = b is solved matrix-free by restarted
 GMRES (Saad and Schultz, 1986), batched over right-hand sides; no n^2 x n^2
-array is formed.
+array is formed. Each step solves the small least-squares problems of all
+columns together: one batched QR gives their residuals, and one batched
+minimum-norm solve per restart cycle their Krylov coefficients.
 
 Far-field links implemented here: for |x| large,
 
@@ -318,12 +320,17 @@ def _gmres(matvec, b):
     """Restarted GMRES for matvec(x) = b, all columns of b (N, m) at once.
 
     Each column runs its own Arnoldi process (classical Gram-Schmidt,
-    applied twice) and its own Givens rotations, vectorised over the
-    columns, so one matvec call per step serves every column. A column is
-    done once its relative residual is <= _GMRES_TOL. Stops early when a
-    restart cycle fails to halve the largest residual left (a stall), or at
-    _GMRES_MAX_ITER steps. Returns x, each column's relative residual
-    (recomputed from b - matvec(x)) and the step count.
+    applied twice), vectorised over the columns, so one matvec call per
+    step serves every column. After step j each column has the small
+    least-squares problem min |beta e_1 - H y|, H its (j + 2) x (j + 1)
+    Hessenberg matrix. Its residual is beta |Q[0, -1]|, Q from the
+    complete QR of H, one batched np.linalg.qr for all columns. The cycle
+    ends once every residual is <= _GMRES_TOL |b|; then one batched
+    minimum-norm solve (np.linalg.pinv) gives every y, finite also where
+    a column converged early or broke down. Stops early when H turns
+    non-finite, when a restart cycle fails to halve the largest residual
+    left (a stall), or at _GMRES_MAX_ITER steps. Returns x, each column's
+    relative residual (recomputed from b - matvec(x)) and the step count.
     """
     bnorm = np.linalg.norm(b, axis=0)
     scale = np.where(bnorm > 0.0, bnorm, 1.0)
@@ -336,69 +343,34 @@ def _gmres(matvec, b):
         if not active.any() or steps >= _GMRES_MAX_ITER:
             return x, rel, steps
         k = min(_GMRES_RESTART, _GMRES_MAX_ITER - steps)
-        dx, used = _gmres_cycle(matvec, r[:, active], scale[active], k)
-        steps += used
-        x[:, active] += dx
+        beta = np.linalg.norm(r[:, active], axis=0)
+        basis = np.zeros((k + 1, b.shape[0], beta.size), dtype=complex)
+        basis[0] = r[:, active] / np.where(beta > 0.0, beta, 1.0)
+        hess = np.zeros((beta.size, k + 1, k), dtype=complex)
+        for j in range(k):
+            w = matvec(basis[j])
+            for _ in range(2):
+                h = np.einsum("inm,nm->im", basis[:j + 1].conj(), w)
+                w = w - np.einsum("inm,im->nm", basis[:j + 1], h)
+                hess[:, :j + 1, j] += h.T
+            hn = np.linalg.norm(w, axis=0)
+            hess[:, j + 1, j] = hn
+            basis[j + 1] = w / np.where(hn > 0.0, hn, 1.0)
+            small = hess[:, :j + 2, :j + 1]
+            if not np.all(np.isfinite(small[:, :, j])):
+                return x, rel, steps + j + 1
+            q = np.linalg.qr(small, mode="complete")[0]
+            if np.all(beta * np.abs(q[:, 0, -1]) <= _GMRES_TOL * scale[active]):
+                break
+        steps += j + 1
+        y = beta[:, None] * np.linalg.pinv(small)[:, :, 0]
+        x[:, active] += np.einsum("inm,mi->nm", basis[:j + 1], y)
         start = rel
         r = b - matvec(x)
         rel = np.linalg.norm(r, axis=0) / scale
         if not np.all(rel[active] <= np.maximum(0.5 * start[active],
                                                  _GMRES_TOL)):
             return x, rel, steps
-
-
-def _gmres_cycle(matvec, r, scale, k):
-    """At most k GMRES steps from residual r (N, m); returns (dx, steps)."""
-    n, m = r.shape
-    beta = np.linalg.norm(r, axis=0)
-    basis = np.zeros((k + 1, n, m), dtype=complex)
-    basis[0] = r / np.where(beta > 0.0, beta, 1.0)
-    hess = np.zeros((k + 1, k, m), dtype=complex)
-    cs = np.zeros((k, m))
-    sn = np.zeros((k, m), dtype=complex)
-    g = np.zeros((k + 1, m), dtype=complex)
-    g[0] = beta
-    length = np.full(m, k)  # Krylov dimension each column stopped at
-    for j in range(k):
-        w = matvec(basis[j])
-        h = np.zeros((j + 1, m), dtype=complex)
-        for _ in range(2):
-            hj = np.einsum("inm,nm->im", basis[:j + 1].conj(), w)
-            w = w - np.einsum("inm,im->nm", basis[:j + 1], hj)
-            h += hj
-        hn = np.linalg.norm(w, axis=0)
-        basis[j + 1] = w / np.where(hn > 0.0, hn, 1.0)
-        col = np.concatenate([h, hn[None].astype(complex)])
-        for i in range(j):
-            a, c = col[i].copy(), col[i + 1].copy()
-            col[i] = cs[i] * a + sn[i] * c
-            col[i + 1] = -np.conj(sn[i]) * a + cs[i] * c
-        a, c = col[j].copy(), col[j + 1].copy()
-        size = np.abs(a)
-        rho = np.hypot(size, np.abs(c))
-        unit = np.where(size > 0.0, a / np.where(size > 0.0, size, 1.0), 1.0)
-        safe = np.where(rho > 0.0, rho, 1.0)
-        cs[j] = np.where(rho > 0.0, size / safe, 1.0)
-        sn[j] = unit * np.conj(c) / safe
-        col[j] = unit * rho
-        col[j + 1] = 0.0
-        hess[:j + 2, j] = col
-        g[j + 1] = -np.conj(sn[j]) * g[j]
-        g[j] = cs[j] * g[j]
-        done = (length == k) & (np.abs(g[j + 1]) <= _GMRES_TOL * scale)
-        length[done] = j + 1
-        if np.all(length <= j + 1):
-            break
-    steps = j + 1
-    # back substitution, each column on its own Krylov dimension
-    y = np.zeros((steps, m), dtype=complex)
-    for i in range(steps - 1, -1, -1):
-        use = i < length
-        num = g[i] - np.einsum("lm,lm->m", hess[i, i + 1:steps], y[i + 1:])
-        diag = hess[i, i]
-        y[i] = np.where(use, num / np.where(use & (diag != 0.0), diag, 1.0),
-                        0.0)
-    return np.einsum("inm,im->nm", basis[:steps], y), steps
 
 
 class _SolverCore:
@@ -447,7 +419,9 @@ class _SolverCore:
         """
         b = np.asarray(b, dtype=complex)
         cols = b.reshape(b.shape[0], -1)
-        u, rel, steps = _gmres(lambda x: x - self.op.apply(x), cols)
+        # an exact power-of-two scale per column keeps squared norms in range
+        unit = np.ldexp(1.0, -np.frexp(np.max(np.abs(cols), axis=0))[1])
+        u, rel, steps = _gmres(lambda x: x - self.op.apply(x), cols * unit)
         worst = float(np.max(rel))
         if not worst <= _GMRES_TOL:
             raise RuntimeError(
@@ -456,7 +430,7 @@ class _SolverCore:
                 f"iterations (target {_GMRES_TOL:g}); the unique-solvability "
                 "condition fails for this potential and kappa; it is "
                 "reported rather than regularized")
-        return u.reshape(b.shape)
+        return (u / unit).reshape(b.shape)
 
 
 _CORES = weakref.WeakKeyDictionary()

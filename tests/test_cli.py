@@ -340,10 +340,22 @@ def _m2_scenario(tmp_path, extent, name, order=3):
         "targets": [[1.0, -4.0], [-3.0, -6.0], [5.0, -3.0]]}, name=name)
 
 
-def test_pipeline_retries_one_order_up_when_the_gap_outruns_the_data(tmp_path):
+def test_pipeline_retries_one_order_up_when_the_gap_outruns_the_data(
+        tmp_path, monkeypatch):
+    calls = []
+    real = cli_mod.eval_field
+
+    def counting(field, pts):
+        calls.append(len(pts))
+        return real(field, pts)
+
+    monkeypatch.setattr(cli_mod, "eval_field", counting)
     out = tmp_path / "retry"
     path = _m2_scenario(tmp_path, 128.0, "retry")
     assert run_scenario(path, "pipeline", out_dir=out, quiet=True) == 0
+    # the order-3 lattice is rejected before it is read: the order-3 pairs,
+    # the order-4 pairs and lattice, then the targets
+    assert len(calls) == 4
     metrics = read_report(out)["metrics"]
     assert metrics["karp_order"] == 4
     assert metrics["max_rel_err"] <= 1e-3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
+from scipy.sparse import linalg as sparse_linalg
 
 from imfield import (
     LineSpec,
@@ -164,15 +165,60 @@ def test_weight_rows_reduce_by_coeff():
 @pytest.mark.parametrize("kappa", [2.0, 4.0])
 @pytest.mark.parametrize("n", [8, 15, 32])
 def test_solver_core_matches_dense_solve(kappa, n):
+    # columns that converge at different steps of one batch: an eigenvector
+    # of W diag v (one step), zero, one scaled by 1e-200, and random ones
     grid = gauss_grid(n, kappa=kappa)
     rng = np.random.default_rng(n)
-    rhs = rng.standard_normal((n * n, 4)) + 1j * rng.standard_normal((n * n, 4))
-    dense = np.eye(n * n) - green_operator_matrix(grid).matrix
+    rand = rng.standard_normal((n * n, 4)) + 1j * rng.standard_normal((n * n, 4))
+    wv = green_operator_matrix(grid).matrix
+    eig = sparse_linalg.eigs(wv, k=1, v0=np.ones(n * n, dtype=complex),
+                             tol=0)[1]
+    rhs = np.column_stack([eig, np.zeros(n * n), 1e-200 * rand[:, 0], rand])
+    dense = np.eye(n * n) - wv
     want = np.linalg.solve(dense, rhs)
-    got = _SolverCore(grid).solve(rhs)
-    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
-    one = _SolverCore(grid).solve(rhs[:, 1])
-    assert np.max(np.abs(one - want[:, 1])) <= 1e-11 * np.max(np.abs(want))
+    core = _SolverCore(grid)
+    got = core.solve(rhs)
+    assert np.all(got[:, 1] == 0.0)
+    peak = np.max(np.abs(want), axis=0)
+    err = np.max(np.abs(got - want), axis=0)
+    assert np.all(err <= 1e-11 * peak)
+    one = core.solve(rhs[:, 4])
+    assert np.max(np.abs(one - want[:, 4])) <= 1e-11 * peak[4]
+    steps = scatter._gmres(lambda x: dense @ x, eig)[2]
+    assert steps == 1
+
+
+def two_bump_grid(n, kappa, axis=(0.15, 0.0)):
+    # two complex Gaussian bumps 0.3 apart about the box center
+    xs = BOX[0] + (np.arange(n) + 0.5) * (BOX[2] - BOX[0]) / n
+    gx, gy = np.meshgrid(xs, xs, indexing="ij")
+    v = sum(3.0 * np.exp(0.25j - ((gx - cx) ** 2 + (gy - cy) ** 2) / 0.15 ** 2)
+            for cx, cy in (axis, (-axis[0], -axis[1])))
+    return PotentialGrid(bbox=BOX, n=n, v=v, kappa=kappa)
+
+
+@pytest.mark.parametrize("kappa", [2.0, 4.0])
+def test_gmres_steps_on_two_bumps(kappa):
+    # point sources round the box, one column and eight at once: each
+    # reaches _GMRES_TOL within a few steps (6 at n = 32)
+    core = _SolverCore(two_bump_grid(32, kappa))
+    angles = 2.0 * np.pi * np.arange(8) / 8
+    sources = 1.6 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    rhs = -0.25j * special.hankel1(
+        0, kappa * np.hypot(*(core.centers[:, None] - sources[None]).T)).T
+    for cols in (rhs[:, :1], rhs):
+        _, rel, steps = scatter._gmres(lambda x: x - core.op.apply(x), cols)
+        assert np.all(rel <= scatter._GMRES_TOL)
+        assert steps <= 8
+
+
+def test_non_finite_data_raise_the_solver_error():
+    core = _SolverCore(gauss_grid(8))
+    rhs = np.ones((64, 2), dtype=complex)
+    rhs[5, 0] = np.nan
+    for b in (rhs[:, 0], rhs):
+        with pytest.raises(RuntimeError, match="unique-solvability"):
+            core.solve(b)
 
 
 def test_solver_core_holds_no_dense_array():
