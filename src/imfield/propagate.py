@@ -29,13 +29,10 @@ fraction of its leading one, which leaves a gap segment around the
 expansion origin q uncovered (no truncation order helps near q, where the
 series cannot converge at all). The gap is completed by a short
 outgoing-multipole expansion about the global origin, fitted by least
-squares to two row families at once: values of the trusted Karp flanks,
-and the measured imaginary parts inside the gap. Neither family works
-alone - the flanks see the origin under two thin angle clusters and cannot
-resolve the angular content, while imaginary parts leave the real part
-unconstrained - but a radiating field is determined by its imaginary part
-on a line, and the combined fit recovers the gap trace at the accuracy
-level of the flanks.
+squares to the measured imaginary parts inside the gap alone: a radiating
+field is determined by its imaginary part on a line. The trusted Karp
+flanks only check the fit, which must match them within 5% on a band
+past the gap.
 
 The trusted radius grows with the distance of q from the sources, so q
 sits at the foot on L of the gap centre (_foot): of the origin for the
@@ -299,34 +296,20 @@ _TRUNC_TOL = 1e-3
 _SVD_CUTOFF = 1e-6
 
 
-def _gap_completion(Af, bf, Ag, im_values):
-    """Multipole completion of the traces inside the shared Karp gap.
+def _im_fit(A, im_values):
+    """Multipole coefficients c whose imaginary parts Im(A c) fit im_values.
 
-    Builds a real-linear least-squares system for (Re c, Im c) of the
-    multipole coefficients from complex-valued rows on the Karp flank bands
-    [xi_gap, xi_gap + 10 lam] of both sides (design Af, Karp values bf with
-    one column per series) plus imaginary-part-only rows at the measured
-    points inside the gap (design Ag, im_values with one column per
-    series), and solves it for every column with one column-normalized
-    truncated SVD. Returns (c, relative fit residual of each column), c of
-    shape (2 modes + 1, columns).
+    Im(A c) = A.imag Re c + A.real Im c is real-linear in (Re c, Im c).
+    One column-normalized np.linalg.lstsq call, which drops singular values
+    below _SVD_CUTOFF of the largest, solves it for every column of
+    im_values (one per series). Returns c of shape (A.shape[1], columns).
     """
-    modes = (Af.shape[1] - 1) // 2
-    A = np.vstack([
-        np.hstack([Af.real, -Af.imag]),
-        np.hstack([Af.imag, Af.real]),
-        np.hstack([Ag.imag, Ag.real]),
-    ])
-    b = np.concatenate([bf.real, bf.imag, np.asarray(im_values, dtype=float)])
-    nrm = np.linalg.norm(A, axis=0)
+    B = np.hstack([A.imag, A.real])
+    nrm = np.linalg.norm(B, axis=0)
     nrm[nrm == 0] = 1.0
-    U, sv, Vh = np.linalg.svd(A / nrm, full_matrices=False)
-    keep = sv > _SVD_CUTOFF * sv[0]
-    u = (Vh[keep].T @ ((U[:, keep].T @ b) / sv[keep, None])) / nrm[:, None]
-    c = u[:2 * modes + 1] + 1j * u[2 * modes + 1:]
-    resid = np.abs(A @ u - b).max(axis=0) \
-        / np.maximum(np.abs(b).max(axis=0), 1e-300)
-    return c, resid
+    u = np.linalg.lstsq(B / nrm, im_values, rcond=_SVD_CUTOFF)[0] \
+        / nrm[:, None]
+    return u[:A.shape[1]] + 1j * u[A.shape[1]:]
 
 
 def _trusted_radius(kc: KarpCoeffs) -> float:
@@ -386,14 +369,16 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     leading one. Inside the gap the series cannot be summed at any order,
     so the trace there comes from a fitted multipole expansion about
     gap_center (default: the global origin, which the sources surround in
-    every supported scenario), anchored to the trusted flanks and to
-    measured imaginary parts: im_points (N x 2 points on spec.line, turned
-    into Karp-frame abscissas here) with im_values = Im psi there must
-    cover the gap at >= 10 samples per wavelength.
-    The fit uses multipole orders |m| <= kc.order + 2; higher counts
-    overfit the flanks.
-    A RuntimeError reports a trusted start plus 10-wavelength fit band
-    past S, or an inconsistent completion (fit residual > 5%).
+    every supported scenario), fitted to measured imaginary parts:
+    im_points (N x 2 points on spec.line, turned into Karp-frame abscissas
+    here) with im_values = Im psi there must cover the gap at >= 10
+    samples per wavelength.
+    The fit uses multipole orders |m| <= kc.order + 2; a larger fixed
+    count makes gkl_reduce miss its accuracy bound where kappa r is near
+    3, since the high modes are unstable there.
+    A RuntimeError reports a trusted start plus 10-wavelength check band
+    past S, or a completion inconsistent with the Karp flanks (misfit on
+    that band > 5% of the flank values).
     """
     xi_gap = _shared_gap([kc])
     s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
@@ -444,8 +429,10 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
     Karp-frame abscissas xi. The series share one gap, the widest of their
     trusted radii (_shared_gap), so each is trusted outside it; the gap
     data are checked once (_GapCoverageError if they stop short), and one
-    least-squares fit over one design per point set completes every
-    series, one right-hand-side column each.
+    least-squares fit of the Im rows (_im_fit) completes every series, one
+    right-hand-side column each. The Karp values on a 10-wavelength band
+    past each end of the gap then check the fit: the multipole sum must
+    match them within 5% of their peak, else RuntimeError.
     Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
     """
     kc0 = kcs[0]
@@ -491,18 +478,19 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
             raise ValueError("gap_center sits on the line, where the "
                              "multipole basis is singular; pass a center "
                              "off the line")
+        coeffs = _im_fit(_outgoing_design(line_point(xi[inside]), gap_center,
+                                          kappa, gap_modes), im[inside])
         band = np.linspace(xi_gap, xi_gap + 10.0 * lam, 80)
-        xi_fit = np.concatenate([-band[::-1], band])
-        coeffs, resid = _gap_completion(
-            _outgoing_design(line_point(xi_fit), gap_center, kappa, gap_modes),
-            _karp_sum(kcs, xi_fit),
-            _outgoing_design(line_point(xi[inside]), gap_center, kappa,
-                             gap_modes),
-            im[inside])
-        if resid.max() > 0.05:
+        band = np.concatenate([-band[::-1], band])
+        karp = _karp_sum(kcs, band)
+        fit = _outgoing_design(line_point(band), gap_center, kappa,
+                               gap_modes) @ coeffs
+        misfit = np.abs(fit - karp).max(axis=0) \
+            / np.maximum(np.abs(karp).max(axis=0), 1e-300)
+        if misfit.max() > 0.05:
             raise RuntimeError(
                 f"gap completion is inconsistent with the Karp flanks "
-                f"(relative fit residual {resid.max():.3g})")
+                f"(relative misfit {misfit.max():.3g})")
 
     def psi(s):
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -598,7 +586,7 @@ def _sampled_traces(im_at, kappa, order, schedule, spec, q, reach=np.inf,
 def _propagate_targets(kc: KarpCoeffs, psi, spec: HalfPlaneSpec, targets):
     """Field values at targets from the line trace psi of the series kc.
 
-    The trusted Karp flanks and the 10-wavelength fit bands past the
+    The trusted Karp flanks and the 10-wavelength check bands past the
     trusted radius must fit inside the trace's [-S, S], so S is at least
     the distance of the Karp origin along the line plus its trusted radius
     plus 12 wavelengths, and at least what _window_half_length asks for

@@ -447,8 +447,10 @@ def _cycle_term(rng, m, strength, radius):
     return {"type": "multipole", "m": m, "c": [z.real, z.imag]}
 
 
-def _cycle_scenario(p, sigma):
-    rng = np.random.default_rng([3, p])
+def _cycle_scenario(p, sigma, draw=0, reach=None):
+    # draw 0 is the sweep's scenario; reach (in wavelengths) adds the
+    # benchmark's interval [-reach lambda, reach lambda]
+    rng = np.random.default_rng([3, p] if draw == 0 else [3, p, draw])
     n_t, band, main, extra = _CYCLE[p]
     kappa = 3.0 + 5.0 * (band + rng.uniform(0.4, 0.6)) / 8.0
     lam = 2.0 * np.pi / kappa
@@ -461,11 +463,14 @@ def _cycle_scenario(p, sigma):
     theta = np.array([-nu[1], nu[0]])
     targets = p0 + np.outer(rng.uniform(-8.0, 8.0, n_t), theta) \
         + np.outer(rng.uniform(0.3 * lam + 0.2, 6.0, n_t), nu)
-    return {"kappa": kappa, "order": 3,
-            "field": {"terms": terms, "source_radius": 0.5},
-            "line": {"point": p0.tolist(), "direction": theta.tolist()},
-            "targets": targets.tolist(),
-            "noise": {"sigma": sigma, "seed": int(rng.integers(2 ** 31))}}
+    sc = {"kappa": kappa, "order": 3,
+          "field": {"terms": terms, "source_radius": 0.5},
+          "line": {"point": p0.tolist(), "direction": theta.tolist()},
+          "targets": targets.tolist(),
+          "noise": {"sigma": sigma, "seed": int(rng.integers(2 ** 31))}}
+    if reach is not None:
+        sc["interval"] = [-reach * lam, reach * lam]
+    return sc
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1e-9, 1e-6, 1e-4])
@@ -493,6 +498,35 @@ def test_pipeline_sigma_and_kappa_sweep(tmp_path, sigma):
         col = {h: k for k, h in enumerate(header)}
         ref = np.hypot(rows[:, col["re_ref"]], rows[:, col["im_ref"]])
         assert np.max(rows[:, col["abs_err"]]) <= 1e-2 * np.max(ref)
+
+
+def test_noisy_data_answer_or_raise_never_miss(tmp_path):
+    # with the benchmark's reach of 128 wavelengths some requests need the
+    # order + 1 retry; at sigma = 1e-6 each of 24 scenarios (three draws
+    # per cycle position) either answers within 1e-2 of max|psi| or fails
+    # at [trace] because the gap fit disagrees with the Karp flanks, and
+    # most answer
+    answered = 0
+    for draw in range(3):
+        for p in range(len(_CYCLE)):
+            name = f"noisy{draw}_{p}"
+            path = write_scenario(tmp_path, _cycle_scenario(
+                p, 1e-6, draw=draw, reach=128.0), name=name)
+            out = tmp_path / name
+            status = run_scenario(path, "pipeline", out_dir=out, quiet=True)
+            if status != 0:
+                assert status == 3
+                error = read_report(out)["error"]
+                assert error.startswith(
+                    "[trace] gap completion is inconsistent"), error
+                continue
+            header, rows = read_csv(out)
+            rows = np.array(rows)
+            col = {h: k for k, h in enumerate(header)}
+            ref = np.hypot(rows[:, col["re_ref"]], rows[:, col["im_ref"]])
+            assert np.max(rows[:, col["abs_err"]]) <= 1e-2 * np.max(ref), name
+            answered += 1
+    assert answered >= 16
 
 
 def test_scatter_command(tmp_path):

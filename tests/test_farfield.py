@@ -574,16 +574,16 @@ def test_extract_all_names_missing_abscissa():
 # radii and rays; the batched two-point solves change only the last bits,
 # which the r^j weights amplify. FROZEN_RECON is taken on schedule_for's
 # exact-data radii (top radius 669); its errors against eval_field are
-# 6.0e-4, 5.9e-5 and 3.4e-4.
-FROZEN_RECON = [0.03065296429901254 + 0.039048391594143576j,
-                -0.051823953370332417 + 0.05787332151012893j,
-                0.033092211368360124 - 0.0016862103335365973j]
-FROZEN_GKL = [[np.nan, -0.05654663033936316 - 0.01066371353480365j,
-               -0.03864293882578211 + 0.01541074081696819j],
-              [-0.05654675077995832 - 0.010663710288305216j, np.nan,
-               -0.05611556177165326 - 0.01062452170790015j],
-              [-0.03864293900389154 + 0.015410739175914855j,
-               -0.05611546204287373 - 0.01062452776466703j, np.nan]]
+# 2.7e-5, 4.2e-6 and 1.0e-5. FROZEN_GKL has max_rel_err 3.9e-7.
+FROZEN_RECON = [0.03065570546582641 + 0.039049039276259356j,
+                -0.05182378680379909 + 0.057873670599346984j,
+                0.03309245548346884 - 0.0016851328024091745j]
+FROZEN_GKL = [[np.nan, -0.056546629115126854 - 0.010663713037870743j,
+               -0.038642938705771686 + 0.015410741059059025j],
+              [-0.056546617276837574 - 0.010663713226471033j, np.nan,
+               -0.05611543830768029 - 0.010624524804478563j],
+              [-0.03864293874174803 + 0.015410740904839206j,
+               -0.05611546063326492 - 0.010624524871970877j, np.nan]]
 
 
 def test_reconstruct_and_gkl_match_frozen_values():

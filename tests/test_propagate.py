@@ -385,7 +385,7 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
                     + [np.zeros(pts.shape[0])], axis=1)
     s = np.linspace(-150.0, 150.0, 4001)
     fits, pairs = [], []
-    real = propagate_mod._gap_completion
+    real = propagate_mod._im_fit
 
     def counting(*args):
         fits.append(args[1].shape)
@@ -395,13 +395,15 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
         pairs.append(np.shape(x))
         return _hankel01(x)
 
-    monkeypatch.setattr(propagate_mod, "_gap_completion", counting)
+    monkeypatch.setattr(propagate_mod, "_im_fit", counting)
     monkeypatch.setattr(karp_mod, "_hankel01", counting_pair)
     # the frame sits at the line point with phi = 0: the gap data's
     # Karp-frame abscissas are the points' x coordinates
     xi = pts[:, 0]
     got = _karp_line_traces(kcs, SPEC, xi, vals)(s)
-    assert fits == [(160, 4)]
+    # one fit over the Im rows in the gap (1,307 here), one column per series
+    gap_rows = np.count_nonzero(np.abs(xi) <= _trusted_radius(kcs[0]))
+    assert fits == [(gap_rows, 4)]
     # the Karp sums of all four series take one H_0, H_1 pass per point
     # set: the flank bands, then the evaluation points outside the gap
     outside = np.abs(s) >= _trusted_radius(kcs[0])  # q = line.point
