@@ -56,7 +56,6 @@ from .karp import _karp_sum, karp_from_farfield, karp_to_dict
 from .propagate import (
     HalfPlaneSpec,
     LineSpec,
-    LineTrace,
     _GapCoverageError,
     _foot,
     _propagate_targets,
@@ -65,8 +64,6 @@ from .propagate import (
     _stage,
     _stage_timings,
     _trusted_radius,
-    _window_half_length,
-    propagate_halfplane,
 )
 from .scatter import (
     PotentialGrid,
@@ -319,15 +316,13 @@ def _scenario_schedule(sc: Scenario) -> ExtractionSchedule:
     return sched if sc.tau is None else replace(sched, tau=sc.tau)
 
 
-def _im_sampler(sc: Scenario, q):
-    """im_at(xi) of the scenario field: Im psi, one column, at the signed
-    abscissas xi from q along the line. noise.sigma is the sigma of
-    sqrt(|x|) Im psi, drawn in call order from one generator seeded by
-    noise.seed."""
+def _im_sampler(sc: Scenario):
+    """im_at(pts) of the scenario field: Im psi, one column, at points
+    (n x 2) of the line. noise.sigma is the sigma of sqrt(|x|) Im psi,
+    drawn in call order from one generator seeded by noise.seed."""
     rng = np.random.default_rng(sc.noise_seed)
 
-    def im_at(xi):
-        pts = q + np.multiply.outer(xi, sc.line.theta)
+    def im_at(pts):
         im = _stage("synth", eval_field, sc.field, pts).imag
         if sc.noise_sigma > 0:
             im = im + sc.noise_sigma * rng.standard_normal(im.shape) \
@@ -344,7 +339,7 @@ def _run_synth(sc: Scenario) -> _RunResult:
     s = lo + (hi - lo) * np.arange(n_seg + 1) / n_seg
     pts = np.asarray(sc.line.point) + np.multiply.outer(s, sc.line.theta)
     vals = np.sqrt(np.hypot(pts[:, 0], pts[:, 1])) \
-        * _im_sampler(sc, sc.line.point)(s)[:, 0]
+        * _im_sampler(sc)(pts)[:, 0]
     rows = [(s[i], pts[i, 0], pts[i, 1], vals[i]) for i in range(s.size)]
     metrics = {"n_samples": int(s.size),
                "max_abs_value": float(np.max(np.abs(vals)))}
@@ -355,9 +350,8 @@ def _extract_pair(sc: Scenario):
     """Schedule, the field read at its pairs in the Karp frame at the foot
     of the origin, and the far-field coefficients."""
     sched = _stage("extract", _scenario_schedule, sc)
-    q = _foot(sc.line, (0.0, 0.0))
-    xi, im, (ff,) = _read_pairs(_im_sampler(sc, q), sc.kappa, sc.order,
-                                sched, q, sc.line.theta)
+    xi, im, (ff,) = _read_pairs(_im_sampler(sc), sc.kappa, sc.order, sched,
+                                sc.line, (0.0, 0.0))
     return sched, xi, im, ff
 
 
@@ -446,13 +440,9 @@ def _run_propagate(sc: Scenario) -> _RunResult:
     t = np.asarray(spec.line.theta)
 
     def on_line(s):
-        s = np.asarray(s, dtype=float)
         return eval_field(sc.field, p0 + s[..., None] * t)
 
-    trace = LineTrace(S=_window_half_length(spec.line, sc.targets, sc.kappa),
-                      panels_per_wavelength=10, func=on_line)
-    values = [_stage("propagate", propagate_halfplane, trace, spec, x, sc.kappa)
-              for x in sc.targets]
+    values = _propagate_targets(on_line, 0.0, sc.kappa, spec, sc.targets)
     rows, header, metrics = _target_rows(sc.field, sc.targets, values)
     return _RunResult(metrics, header, rows)
 
@@ -525,23 +515,23 @@ def _run_gkl(sc: Scenario) -> _RunResult:
 
 def _run_pipeline(sc: Scenario) -> _RunResult:
     spec = _foot_halfplane(sc)
-    q = spec.line.point
     # interval is the reach of the data along the line; without it, none
     reach = np.inf if sc.interval is None else max(map(abs, sc.interval))
 
     def traces(sc):
-        return _sampled_traces(_im_sampler(sc, q), sc.kappa, sc.order,
+        return _sampled_traces(_im_sampler(sc), sc.kappa, sc.order,
                                _stage("extract", _scenario_schedule, sc),
-                               spec, q, reach)
+                               spec.line, reach=reach)
 
     try:
-        (kc,), psi = traces(sc)
+        psi, extent = traces(sc)
     except _GapCoverageError:
         # the Karp gap outran the data; one order up trusts the series
         # nearer its origin
         sc = replace(sc, order=sc.order + 1)
-        (kc,), psi = traces(sc)
-    values = _propagate_targets(kc, psi, spec, sc.targets)
+        psi, extent = traces(sc)
+    values = _propagate_targets(lambda s: psi(s)[..., 0], extent, sc.kappa,
+                                spec, sc.targets)
     rows, header, metrics = _target_rows(sc.field, sc.targets, values)
     metrics["karp_order"] = sc.order
     return _RunResult(metrics, header, rows)

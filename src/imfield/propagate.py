@@ -19,11 +19,12 @@ expansion back on the line, and propagation into the half-plane. The
 samples become line data once (farfield._line_data: Im psi at signed
 Karp-frame abscissas), which both the extraction and the gap fit read.
 Callers that can evaluate Im psi anywhere on the line (the CLI and
-scatter.gkl_reduce) pass a sampler to _sampled_traces instead, which reads
-it only where the fit needs data: at the schedule pairs +-(r, r + tau),
-then on a lambda/12 lattice over the Karp gap plus one wavelength. The
-lattice meets the gap fit's coverage rule before it is read, so data that
-stop short of the gap cost no read there.
+scatter.gkl_reduce) pass _sampled_traces a sampler of it at points of the
+line, and the centre the sources surround. It places the Karp frame and
+reads the sampler only where the fit needs data: at the schedule pairs
++-(r, r + tau), then on a lambda/12 lattice over the Karp gap plus one
+wavelength. The lattice meets the gap fit's coverage rule before it is
+read, so data that stop short of the gap cost no read there.
 The Karp series is trusted only where its last kept term is a small
 fraction of its leading one, which leaves a gap segment around the
 expansion origin q uncovered (no truncation order helps near q, where the
@@ -32,11 +33,12 @@ outgoing-multipole expansion about the global origin, fitted by least
 squares to the measured imaginary parts inside the gap alone: a radiating
 field is determined by its imaginary part on a line. The trusted Karp
 flanks only check the fit, which must match them within 5% on a band
-past the gap.
+past the gap. A trace reports its extent, |s_q| plus the gap, beyond which
+it is the Karp sum, and _propagate_targets sizes the quadrature from it.
 
 The trusted radius grows with the distance of q from the sources, so q
-sits at the foot on L of the gap centre (_foot): of the origin for the
-CLI, of the support centre for scatter.gkl_reduce.
+sits at the foot on L of the centre (_foot): of the origin for the CLI,
+of the support centre for scatter.gkl_reduce.
 """
 
 from __future__ import annotations
@@ -376,16 +378,10 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
     The fit uses multipole orders |m| <= kc.order + 2; a larger fixed
     count makes gkl_reduce miss its accuracy bound where kappa r is near
     3, since the high modes are unstable there.
-    A RuntimeError reports a trusted start plus 10-wavelength check band
-    past S, or a completion inconsistent with the Karp flanks (misfit on
-    that band > 5% of the flank values).
+    A RuntimeError reports a trace extent (_karp_line_traces) plus a
+    10-wavelength check band past S, or a completion inconsistent with the
+    Karp flanks (misfit on that band > 5% of the flank values).
     """
-    xi_gap = _shared_gap([kc])
-    s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
-    if xi_gap and xi_gap + 10.0 * (2.0 * np.pi / kc.kappa) > S - abs(s_q):
-        raise RuntimeError(
-            f"Karp series is trusted only beyond {xi_gap:.3g} from "
-            f"its origin, too far out for trace half-length S={S:.3g}")
     xi = im = None
     if im_points is not None and im_values is not None:
         pts = np.asarray(im_points, dtype=float)
@@ -394,7 +390,12 @@ def karp_line_trace(kc: KarpCoeffs, spec: HalfPlaneSpec, S: float,
             raise ValueError("im_points must lie on spec.line")
         xi = (pts - kc.origin_shift) @ (np.cos(kc.phi), np.sin(kc.phi))
         im = np.expand_dims(np.asarray(im_values, dtype=float), -1)
-    psi = _karp_line_traces([kc], spec, xi, im, gap_center)
+    psi, extent = _karp_line_traces([kc], spec.line, xi, im, gap_center)
+    if extent and extent + 10.0 * (2.0 * np.pi / kc.kappa) > S:
+        s_q = (np.asarray(kc.origin_shift) - spec.line.point) @ spec.line.theta
+        raise RuntimeError(
+            f"Karp series is trusted only beyond {extent - abs(s_q):.3g} from "
+            f"its origin, too far out for trace half-length S={S:.3g}")
     return LineTrace(S=S, func=lambda s: psi(s)[..., 0])
 
 
@@ -419,12 +420,12 @@ def _gap_coverage(xi, xi_gap, lam):
     return inside
 
 
-def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
+def _karp_line_traces(kcs, line: LineSpec, xi=None, im=None,
                       gap_center=None):
     """Line traces of several Karp series of one frame, one column each.
 
     The series must share kappa, phi, origin_shift and order (the Karp
-    conversions of one ray pair, one per source) and run along spec.line;
+    conversions of one ray pair, one per source) and run along line;
     the gap data are line data, Im psi (n x len(kcs)) im at the signed
     Karp-frame abscissas xi. The series share one gap, the widest of their
     trusted radii (_shared_gap), so each is trusted outside it; the gap
@@ -433,7 +434,10 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
     right-hand-side column each. The Karp values on a 10-wavelength band
     past each end of the gap then check the fit: the multipole sum must
     match them within 5% of their peak, else RuntimeError.
-    Returns psi(s) of shape np.atleast_1d(s).shape + (len(kcs),).
+    Returns (psi, extent): psi(s) of shape np.atleast_1d(s).shape +
+    (len(kcs),) at line abscissas s, and the extent |s_q| + gap about
+    line.point beyond which psi is the trusted Karp sum (0.0 when every
+    series is zero, as psi is then).
     """
     kc0 = kcs[0]
     frame = (kc0.kappa, kc0.phi, kc0.origin_shift, kc0.order)
@@ -444,8 +448,8 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
     kappa = kc0.kappa
     lam = 2.0 * np.pi / kappa
     q = np.asarray(kc0.origin_shift)
-    p0 = np.asarray(spec.line.point)
-    t = np.asarray(spec.line.theta)
+    p0 = np.asarray(line.point)
+    t = np.asarray(line.theta)
     off = q - p0
     if abs(off[0] * t[1] - off[1] * t[0]) > 1e-9 * max(1.0, float(np.hypot(*off))):
         raise ValueError("Karp origin_shift does not lie on spec.line")
@@ -474,7 +478,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
         if gap_center is None:
             gap_center = (0.0, 0.0)
         gap_center = (float(gap_center[0]), float(gap_center[1]))
-        if abs(spec.signed_offset(gap_center)) <= 0.1 * lam:
+        if abs((np.asarray(gap_center) - p0) @ (-t[1], t[0])) <= 0.1 * lam:
             raise ValueError("gap_center sits on the line, where the "
                              "multipole basis is singular; pass a center "
                              "off the line")
@@ -506,7 +510,7 @@ def _karp_line_traces(kcs, spec: HalfPlaneSpec, xi=None, im=None,
                                         kappa, gap_modes) @ coeffs
         return out
 
-    return psi
+    return psi, abs(s_q) + xi_gap if xi_gap else 0.0
 
 
 # summed wall seconds per stage label inside the innermost _stage_timings
@@ -541,36 +545,39 @@ def _stage(label, fn, *args, **kwargs):
             times[label] = times.get(label, 0.0) + time.perf_counter() - t0
 
 
-def _read_pairs(im_at, kappa, order, schedule, q, theta):
+def _read_pairs(im_at, kappa, order, schedule, line, centre):
     """Readings of im_at at the schedule pairs +-(r, r + tau), extracted.
 
-    Returns the sorted signed abscissas of the Karp frame at q along theta,
-    im_at's columns there, and one FarFieldCoeffs per column (stage
-    "extract").
+    The Karp frame sits at q = _foot(line, centre) and runs along
+    line.theta; im_at reads the points q +- (r, r + tau) theta. Returns
+    their sorted signed abscissas in the frame, im_at's columns there, and
+    one FarFieldCoeffs (origin_shift q) per column (stage "extract").
     """
+    q = _foot(line, centre)
     a = schedule_abscissas(schedule)
     xi = np.concatenate([-a[::-1], a])
-    im = im_at(xi)
-    return xi, im, _stage("extract", _line_farfield, q, theta, xi, im, order,
-                          schedule, kappa)
+    im = im_at(q + np.multiply.outer(xi, line.theta))
+    return xi, im, _stage("extract", _line_farfield, q, line.theta, xi, im,
+                          order, schedule, kappa)
 
 
-def _sampled_traces(im_at, kappa, order, schedule, spec, q, reach=np.inf,
-                    gap_center=None):
-    """Karp series and line traces of a sampler of Im psi on spec.line.
+def _sampled_traces(im_at, kappa, order, schedule, line, centre=(0.0, 0.0),
+                    reach=np.inf):
+    """Line traces of a sampler of Im psi on line, for sources about centre.
 
-    The sampling plan of line reconstruction: im_at(xi) returns Im psi, one
-    column per field, at signed abscissas xi of the Karp frame at q along
-    spec.line. It is read at the schedule pairs (_read_pairs), which give
-    one Karp series per column, and once more on the lattice
-    (k + 1/2) lambda/12 over the series' shared gap plus one wavelength,
-    cut to the data reach |xi| < reach, for the one gap fit of
-    _karp_line_traces. The lattice meets the coverage rule of that fit
-    (_gap_coverage) before im_at reads it, so a reach short of the gap
-    raises _GapCoverageError without reading the field there. Returns
-    (series, psi); stages "extract", "karp" and "trace".
+    The sampling plan of line reconstruction: im_at(points) returns Im psi,
+    one column per field, at points (n x 2) of the line. It is read at the
+    schedule pairs of the Karp frame at the foot of centre (_read_pairs),
+    which give one Karp series per column, and once more on the lattice
+    (k + 1/2) lambda/12 of frame abscissas over the series' shared gap
+    plus one wavelength, cut to the data reach |xi| < reach, for the one
+    gap fit of _karp_line_traces about centre. The lattice meets the
+    coverage rule of that fit (_gap_coverage) before im_at reads it, so a
+    reach short of the gap raises _GapCoverageError without reading the
+    field there. Returns (psi, extent) as _karp_line_traces does; stages
+    "extract", "karp" and "trace".
     """
-    _, _, ffs = _read_pairs(im_at, kappa, order, schedule, q, spec.line.theta)
+    *_, ffs = _read_pairs(im_at, kappa, order, schedule, line, centre)
     kcs = [_stage("karp", karp_from_farfield, ff) for ff in ffs]
     lam = 2.0 * np.pi / kappa
     gap = _stage("trace", _shared_gap, kcs)
@@ -579,26 +586,24 @@ def _sampled_traces(im_at, kappa, order, schedule, spec, q, reach=np.inf,
     xs = xs[np.abs(xs) < reach]
     if gap:
         _stage("trace", _gap_coverage, xs, gap, lam)
-    return kcs, _stage("trace", _karp_line_traces, kcs, spec, xs, im_at(xs),
-                       gap_center)
+    pts = np.asarray(kcs[0].origin_shift) + np.multiply.outer(xs, line.theta)
+    return _stage("trace", _karp_line_traces, kcs, line, xs, im_at(pts),
+                  centre)
 
 
-def _propagate_targets(kc: KarpCoeffs, psi, spec: HalfPlaneSpec, targets):
-    """Field values at targets from the line trace psi of the series kc.
+def _propagate_targets(func, extent, kappa, spec: HalfPlaneSpec, targets):
+    """Field values at targets from the line trace func: s -> psi.
 
-    The trusted Karp flanks and the 10-wavelength check bands past the
-    trusted radius must fit inside the trace's [-S, S], so S is at least
-    the distance of the Karp origin along the line plus its trusted radius
-    plus 12 wavelengths, and at least what _window_half_length asks for
-    the targets.
+    extent is the half-length about spec.line.point beyond which the trace
+    is the trusted Karp sum (_karp_line_traces; 0.0 for a trace known
+    everywhere). The trace's half-length S is at least extent plus 12
+    wavelengths, which holds the 10-wavelength check bands, and at least
+    what _window_half_length asks for the targets.
     """
-    lam = 2.0 * np.pi / kc.kappa
-    s_q = abs(float((np.asarray(kc.origin_shift) - spec.line.point)
-                    @ spec.line.theta))
-    S = max(_window_half_length(spec.line, targets, kc.kappa),
-            s_q + _stage("trace", _shared_gap, [kc]) + 12.0 * lam)
-    trace = LineTrace(S=S, func=lambda s: psi(s)[..., 0])
-    return [_stage("propagate", propagate_halfplane, trace, spec, x, kc.kappa)
+    S = max(_window_half_length(spec.line, targets, kappa),
+            extent + 12.0 * (2.0 * np.pi / kappa))
+    trace = LineTrace(S=S, func=func)
+    return [_stage("propagate", propagate_halfplane, trace, spec, x, kappa)
             for x in targets]
 
 
@@ -636,5 +641,6 @@ def reconstruct_from_im(samples_plus: ImSamples, samples_minus: ImSamples,
     ff, = _stage("extract", _line_farfield, q, theta, xi, im, order,
                  schedule, kappa)
     kc = _stage("karp", karp_from_farfield, ff)
-    psi = _stage("trace", _karp_line_traces, [kc], spec, xi, im)
-    return _propagate_targets(kc, psi, spec, targets)
+    psi, extent = _stage("trace", _karp_line_traces, [kc], spec.line, xi, im)
+    return _propagate_targets(lambda s: psi(s)[..., 0], extent, kappa, spec,
+                              targets)

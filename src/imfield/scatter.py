@@ -61,13 +61,13 @@ gkl_reduce demonstrates the reduction of the data Im R(x, y) on a line to
 the full complex R: the free part is removed analytically (Im G is the
 smooth function (1/4) J_0(kappa |x - y|)), the remainder D = R + G radiates
 from Omega only, and G is added back at the end. One field with a column
-per source evaluates D at the line points, and Im D in the Karp frame at
-the foot q of the support centre (propagate._foot) is the sampler that
-propagate._sampled_traces reads: at +-(r, r + tau) of the schedule for
-one extraction of all sources, then on the gap lattice for the one gap
-fit of their traces, which share one gap, the widest of their trusted
-radii, and one Karp sum per point set. Each of the three calls serves
-every source at once.
+per source evaluates D at the line points, and Im D at points of the
+line, with the support centre, is the sampler that
+propagate._sampled_traces reads in the Karp frame it places at the foot
+of that centre: at +-(r, r + tau) of the schedule for one extraction of
+all sources, then on the gap lattice for the one gap fit of their traces,
+which share one gap, the widest of their trusted radii, and one Karp sum
+per point set. Each of the three calls serves every source at once.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ import numpy as np
 
 from .specfun import EULER_GAMMA, _jy, _outgoing_design, hankel1
 from .farfield import schedule_for
-from .propagate import HalfPlaneSpec, LineSpec, _foot, _sampled_traces
+from .propagate import LineSpec, _sampled_traces
 
 __all__ = [
     "PotentialGrid",
@@ -738,13 +738,13 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     Lambda is n_points equally spaced points of the interval (given in the
     line's abscissa). For each source y in Lambda the free part is removed,
     D = R + G, whose imaginary part on the line is Im R + (1/4) J_0(kappa
-    |x - y|); D radiates from Omega only. Im D in the Karp frame at the
-    foot of the support centre, a column per source, is the sampler of
-    propagate._sampled_traces: read at the signed abscissas +-(r, r + tau)
-    of the schedule it gives a Karp series per source, and read on a gap
-    lattice it completes the traces of all sources in one gap fit over
-    their one shared gap, the widest of their trusted radii; subtracting G
-    turns D into R.
+    |x - y|); D radiates from Omega only. Im D at points of the line, a
+    column per source, is the sampler of propagate._sampled_traces, which
+    reads it in the Karp frame at the foot of the support centre: at
+    +-(r, r + tau) of the schedule it gives a Karp series per source, and
+    on a gap lattice it completes the traces of all sources in one gap fit
+    over their one shared gap, the widest of their trusted radii;
+    subtracting G turns D into R.
     Returns the recovered and directly solved tables with relative error and
     reciprocity-defect metrics. The line must keep clear of Omega; data_tol
     is the absolute accuracy of the sampled imaginary parts (solver grade by
@@ -762,21 +762,14 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
     if not _line_clears_support(grid, line):
         raise ValueError("line must keep clear of the potential support")
     kappa = grid.kappa
-    p0 = np.asarray(line.point)
-    theta = np.asarray(line.theta)
-    nu = np.array([-theta[1], theta[0]])
-
-    center = grid.center_point()
-    origin = _foot(line, center)
-    spec = HalfPlaneSpec(line=line, normal=tuple(nu))
     s_pts = np.linspace(s_min, s_max, n_points)
-    lam_pts = p0 + np.multiply.outer(s_pts, theta)
+    lam_pts = np.asarray(line.point) + np.multiply.outer(s_pts, line.theta)
 
     schedule = schedule_for(kappa, order, data_tol)
 
     # D = R + G on the line points, column j for source j: read directly
-    # off the interior solution, and recovered from its imaginary part read
-    # in the Karp frame at the foot of the support center
+    # off the interior solution, and recovered from its imaginary part on
+    # the line, the sources about the support center
     d_recovered = np.zeros((n_points, n_points), dtype=complex)
     d_direct = np.zeros((n_points, n_points), dtype=complex)
     if not grid.is_free:  # else D vanishes identically
@@ -787,10 +780,9 @@ def gkl_reduce(grid: PotentialGrid, line: LineSpec, interval, order: int,
                               grid.v_flat[:, None] * core.solve(rhs), core,
                               grid.cell_size)
         d_direct = d_field.correction(lam_pts)
-        _, traces = _sampled_traces(
-            lambda xi: d_field.correction(
-                origin + np.multiply.outer(xi, theta)).imag,
-            kappa, order, schedule, spec, origin, gap_center=tuple(center))
+        traces, _ = _sampled_traces(
+            lambda pts: d_field.correction(pts).imag, kappa, order, schedule,
+            line, grid.center_point())
         d_recovered = traces(s_pts)
 
     # R = D - G off the diagonal, where G(x_i - x_j) is finite

@@ -542,6 +542,20 @@ def test_scatter_command(tmp_path):
     assert len(rows) == 72
 
 
+def test_scatter_explicit_default_probes(tmp_path):
+    # the default probes of the unit box about the origin, given as targets
+    pot = gaussian_potential_dict()
+    defects = []
+    for name, extra in (("dflt", {}),
+                        ("expl", {"targets": [[1.5, 0.5], [-0.75, -1.25]]})):
+        path = write_scenario(tmp_path, dict(kappa=4.0, potential=pot,
+                                             **extra), name=name)
+        out = tmp_path / name
+        assert run_scenario(path, "scatter", out_dir=out, quiet=True) == 0
+        defects.append(read_report(out)["metrics"]["reciprocity_defect"])
+    assert defects[0] == defects[1]
+
+
 def test_report_stage_timings(tmp_path):
     pot = write_scenario(tmp_path, {
         "kappa": 4.0, "potential": gaussian_potential_dict()}, name="st")

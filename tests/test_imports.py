@@ -63,6 +63,15 @@ def test_line_reconstruction_reads_through_one_sampling_plan():
         assert name not in scatter_bound
 
 
+def test_propagate_places_the_karp_frame():
+    # samplers take points of the line; propagate places the Karp frame
+    # and sizes the quadrature from the trace's extent for every caller
+    for name in ("_foot", "HalfPlaneSpec"):
+        assert name not in _imports(_parse("scatter.py"))
+    for name in ("LineTrace", "propagate_halfplane", "_window_half_length"):
+        assert name not in _imports(_parse("cli.py"))
+
+
 def _names_read(node):
     """Names node reads, as a bare name or an attribute, or imports."""
     out = set()

@@ -400,13 +400,15 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
     # the frame sits at the line point with phi = 0: the gap data's
     # Karp-frame abscissas are the points' x coordinates
     xi = pts[:, 0]
-    got = _karp_line_traces(kcs, SPEC, xi, vals)(s)
+    psi, extent = _karp_line_traces(kcs, SPEC.line, xi, vals)
+    got = psi(s)
     # one fit over the Im rows in the gap (1,307 here), one column per series
     gap_rows = np.count_nonzero(np.abs(xi) <= _trusted_radius(kcs[0]))
     assert fits == [(gap_rows, 4)]
     # the Karp sums of all four series take one H_0, H_1 pass per point
     # set: the flank bands, then the evaluation points outside the gap
     outside = np.abs(s) >= _trusted_radius(kcs[0])  # q = line.point
+    assert extent == _trusted_radius(kcs[0])  # the widest gap about q
     assert pairs == [(160, 1), (np.count_nonzero(outside), 1)]
     assert got.shape == (s.size, 4)
     one = karp_line_trace(kcs[0], SPEC, 200 * LAM, im_points=pts,
@@ -419,15 +421,14 @@ def test_multi_series_traces_share_the_widest_gap(monkeypatch):
     bad = vals.copy()
     bad[:, 1] *= 3.0
     with pytest.raises(RuntimeError, match="inconsistent"):
-        _karp_line_traces(kcs, SPEC, xi, bad)
+        _karp_line_traces(kcs, SPEC.line, xi, bad)
     other = KarpCoeffs(kappa=KAPPA, phi=kcs[0].phi, F=kcs[0].F[:3],
                        G=kcs[0].G[:3], origin_shift=kcs[0].origin_shift)
     with pytest.raises(ValueError):  # series of another order
-        _karp_line_traces([kcs[0], other], SPEC, xi, vals[:, :2])
+        _karp_line_traces([kcs[0], other], SPEC.line, xi, vals[:, :2])
     with pytest.raises(ValueError, match="does not run along"):
-        _karp_line_traces(kcs, HalfPlaneSpec(
-            line=LineSpec(point=(0.0, -2.0), theta=(0.6, -0.8)),
-            normal=(0.8, 0.6)), xi, vals)
+        _karp_line_traces(kcs, LineSpec(point=(0.0, -2.0),
+                                        theta=(0.6, -0.8)), xi, vals)
 
 
 def test_karp_line_trace_zero_field():

@@ -56,3 +56,53 @@ def test_cli_example(tmp_path, command, scenario, metric, check):
     assert status == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert check(report["metrics"][metric])
+
+
+def _demo(tmp_path, **entries):
+    """The README's demo.json, with entries replaced, written to tmp_path."""
+    path = tmp_path / "demo.json"
+    path.write_text(json.dumps(dict(_example_scenarios()["demo.json"],
+                                    **entries)))
+    return path
+
+
+def _metrics(out):
+    return json.loads((out / "report.json").read_text())["metrics"]
+
+
+def test_main_runs_the_demo(tmp_path, capsys):
+    path = _demo(tmp_path)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--scenario", str(path), "--out", str(out)]
+    assert cli.main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["report.json",
+                                                     "results.csv"]
+    assert _metrics(out)["karp_order"] == 3
+    # --order overrides the scenario's order, and must be >= 0
+    assert cli.main(argv + ["--order", "4", "--quiet"]) == 0
+    assert _metrics(out)["karp_order"] == 4
+    assert cli.main(argv + ["--order", "-1"]) == 2
+    assert "--order must be >= 0" in capsys.readouterr().err
+    # without --quiet the run prints its metrics and artifacts
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "point-source-demo: pipeline ok"
+    assert any(line.startswith("  max_rel_err = ") for line in printed)
+    assert printed[-2:] == [f"  wrote {out / 'results.csv'}",
+                            f"  wrote {out / 'report.json'}"]
+
+
+def test_reversed_line_direction_keeps_the_pipeline_answers(tmp_path):
+    # the half-plane's normal flips with the direction, so that it points
+    # at the sources either way; line.point slid off the foot of the origin
+    psi = []
+    for d in ([1.0, 0.0], [-1.0, 0.0]):
+        path = _demo(tmp_path, line={"point": [3.0, -2.0], "direction": d})
+        out = tmp_path / f"out{d[0]:+.0f}"
+        assert cli.run_scenario(path, "pipeline", out_dir=out,
+                                quiet=True) == 0
+        assert _metrics(out)["karp_order"] == 3
+        rows = np.loadtxt(out / "results.csv", delimiter=",", skiprows=1)
+        psi.append(rows[:, 2] + 1j * rows[:, 3])
+    assert np.max(np.abs(psi[1] - psi[0])) <= 1e-12 * np.max(np.abs(psi[0]))

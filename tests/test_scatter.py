@@ -608,6 +608,30 @@ def test_exterior_expansion_falls_back_to_rows_when_not_finite():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [1, 8])
+def test_volume_field_rows_alone_match_per_point_calls(n):
+    # a single cell has no expansion table, and on a larger grid points
+    # within 2 rho_max of the support centre keep the weight rows: either
+    # way a call of many points forms no moments and is its points' calls
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    grid = PotentialGrid(bbox=(-0.3, 0.2, 0.8, 1.3), n=n, v=v, kappa=KAPPA)
+    core = _SolverCore(grid)
+    c, rho_max, table = core.expansion()
+    assert (table is None) == (n == 1)
+    reach = 1.9 * rho_max if table is not None else 5.0
+    r = rng.uniform(0.1, 1.0, 40) * reach
+    phi = rng.uniform(0.0, 2.0 * np.pi, 40)
+    pts = c + r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    coeff = rng.standard_normal((n * n, 2)) \
+        + 1j * rng.standard_normal((n * n, 2))
+    field = scatter.VolumeField(KAPPA, None, coeff, core, grid.cell_size)
+    got = field.correction(pts)
+    assert field._moments is None  # the expansion served no point
+    want = np.array([field.correction(x) for x in pts])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 LINE = LineSpec(point=(0.0, -2.0), theta=(1.0, 0.0))
 
 
